@@ -1,7 +1,8 @@
 """Numerical laboratory for Gaussian-window quantum phase estimation.
 
 The package sizes sampling plans for ground-state energy estimation with
-a Gaussian ancilla window, simulates the exact outcome distributions,
+a Gaussian ancilla window, computes the outcome distributions in float64
+(absolute accuracy about 1e-16 of the peak probability in every bin),
 runs the windowed-basket estimator against them, and audits every
 analytic error and failure bound the sizing relies on.
 """
@@ -9,7 +10,6 @@ analytic error and failure bound the sizing relies on.
 from .estimation import (
     EnergyEstimate,
     QpeEstimate,
-    hoeffding_sample_count,
     run_gsee,
     run_qpe_baseline,
     run_sampling_round,
@@ -22,6 +22,7 @@ from .planner import (
     PlanParams,
     QpeBaseline,
     compute_C_eta,
+    hoeffding_sample_count,
     plan_gsee,
     plan_qpe_baseline,
     plan_sampling_round,

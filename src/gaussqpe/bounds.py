@@ -317,9 +317,7 @@ class _TwoStateModel:
             self.alias_abs.append(a)
         self.G0m = [_Gm0(j, self.mu, self.sigma) for j in range(m_max + 1)]
         self.tail_mom = _tail_moments(self.mu, self.sigma, self.K, m_max)
-        self.T = _range_moments(self.mu, self.sigma, self.K + 1, None, 0)[0] + (
-            _range_moments(self.mu, self.sigma, None, -self.K - 1, 0)[0]
-        )
+        self.T = self.tail_mom[0]
         self.A = abs(self.alias_signed[0])
         # Register normalizations, as offsets from 1.
         self.reg_tail0 = _register_tail(self.mu, self.sigma, plan.q)
@@ -330,11 +328,6 @@ class _TwoStateModel:
         self.N0 = 1 + self.norm0_minus_1
         self.N1 = 1 + self.norm1_minus_1
 
-        # Window moments of the ideal vector, through the dual identity.
-        self.win_mom = [
-            self.G0m[j] + self.alias_signed[j] - self.tail_mom[j]
-            for j in range(m_max + 1)
-        ]
         # Contaminant and midpoint cross moments on the window.
         self.cont_mom = _range_moments(self.mu1, self.sigma, -self.K, self.K, m_max)
         self.cont_mass_left = _range_moments(
@@ -781,19 +774,12 @@ def _fail_rate_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundC
             delta_work,
             bool(sigma_gap_ok and xleft_half_ok and chernoff_ok),
         ),
-        BoundCase(
-            kind="xleft_at_least_half",
-            params={**base, "orientation": "lower"},
-            exact=float(p0_worst / 2),
-            bound=float(p_xleft),
-            margin=float(p_xleft - p0_worst / 2),
-            exact_log10=_log10_or(p0_worst / 2),
-            bound_log10=_log10_or(p_xleft),
-            margin_log10=_log10_or(p_xleft - p0_worst / 2)
-            if p_xleft >= p0_worst / 2
-            else math.nan,
-            preconditions_met=True,
-            holds=xleft_half_ok,
+        _case(
+            "xleft_at_least_half",
+            {**base, "orientation": "lower"},
+            p0_worst / 2,
+            p_xleft,
+            True,
         ),
     ]
 

@@ -30,6 +30,7 @@ from .planner import (
     GseePlan,
     PlanInfeasible,
     PlanInputs,
+    flatten_record,
     plan_gsee,
     plan_qpe_baseline,
     plan_to_text,
@@ -81,14 +82,10 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _flatten(obj: Any, prefix: str = "") -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            out.update(_flatten(obj[key], f"{prefix}{key}."))
-        return out
-    out[prefix[:-1]] = obj
-    return out
+def _strict_int(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _load_config(path: str | None) -> dict[str, Any]:
@@ -128,8 +125,6 @@ def _inputs_from_config(config: dict[str, Any], alpha: float | None = None) -> P
     kwargs = dict(node)
     if alpha is not None:
         kwargs["alpha"] = alpha
-    if "m" in kwargs:
-        kwargs["m"] = int(kwargs["m"])
     return PlanInputs(**kwargs)
 
 
@@ -146,7 +141,7 @@ def _echo_config(out_dir: str, args: argparse.Namespace, config: dict[str, Any])
 
 
 def _plan_rows(plans: Sequence[GseePlan]) -> tuple[list[str], list[dict]]:
-    rows = [_flatten(plan.to_dict()) for plan in plans]
+    rows = [flatten_record(plan.to_dict()) for plan in plans]
     names = sorted({name for row in rows for name in row})
     return names, rows
 
@@ -341,15 +336,21 @@ def _cmd_qpe(args, config) -> int:
 
 def _cmd_bounds(args, config) -> int:
     node = config.get("bounds", {})
+    mc = node.get("mc", True)
+    if not isinstance(mc, bool):
+        raise ValueError(f"bounds.mc must be true or false, got {mc!r}")
     report = bounds_lab.run_default_grid(
         etas=tuple(node.get("etas", bounds_lab.DEFAULT_ETAS)),
         deltas=tuple(node.get("deltas", bounds_lab.DEFAULT_DELTAS)),
         gaps=tuple(node.get("gaps", bounds_lab.DEFAULT_GAPS)),
-        orders=tuple(int(m) for m in node.get("orders", bounds_lab.DEFAULT_ORDERS)),
+        orders=tuple(
+            _strict_int(m, "bounds.orders entry")
+            for m in node.get("orders", bounds_lab.DEFAULT_ORDERS)
+        ),
         mu_centers=tuple(node.get("mu_centers", bounds_lab.DEFAULT_MU_CENTERS)),
         eps_rel=float(node.get("eps_rel", bounds_lab.DEFAULT_EPS_REL)),
-        mc=bool(node.get("mc", True)),
-        mc_rounds=int(node.get("mc_rounds", 2000)),
+        mc=mc,
+        mc_rounds=_strict_int(node.get("mc_rounds", 2000), "bounds.mc_rounds"),
     )
     rows = []
     for row in report.to_rows():
@@ -397,11 +398,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         config = _load_config(args.config)
-        args.seed = args.seed if args.seed is not None else int(config.get("seed", _DEFAULT_SEED))
-        args.runs = args.runs if args.runs is not None else int(config.get("runs", 1))
-        args.threads = (
-            args.threads if args.threads is not None else int(config.get("threads", 1))
-        )
+        for name, default in (("seed", _DEFAULT_SEED), ("runs", 1), ("threads", 1)):
+            if getattr(args, name) is None:
+                setattr(args, name, _strict_int(config.get(name, default), name))
         if args.runs < 1:
             raise ValueError(f"runs must be positive, got {args.runs}")
         if args.alpha_list is not None:

@@ -14,7 +14,6 @@ The rectangular-window majority-vote baseline lives here too, sized by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .planner import (
     PlanInputs,
     PlanParams,
     QpeBaseline,
+    _check_order,
     plan_gsee,
     plan_qpe_baseline,
 )
@@ -42,7 +42,6 @@ __all__ = [
     "MomentSample",
     "EnergyEstimate",
     "QpeEstimate",
-    "hoeffding_sample_count",
     "basket_from_outcomes",
     "run_sampling_round",
     "moment_from_basket",
@@ -53,19 +52,6 @@ __all__ = [
 _OVERLAP_ONE_TOL = 1e-12
 # Draws per vectorized batch; keeps peak memory near 8 MB of int64.
 _BATCH_DRAWS = 1 << 20
-
-
-def hoeffding_sample_count(b: float, epsilon: float, c: float, delta: float) -> int:
-    """Samples needed so a mean of values with support width ``b`` lands
-    within (1 - c) * epsilon of its expectation except with probability
-    ``delta``: ceil(b**2 / (2 * ((1-c) * epsilon)**2) * ln(2/delta))."""
-    if not (b > 0.0 and epsilon > 0.0 and 0.0 <= c < 1.0 and 0.0 < delta < 1.0):
-        raise ValueError(
-            f"need b > 0, epsilon > 0, c in [0, 1), delta in (0, 1); "
-            f"got b={b!r}, epsilon={epsilon!r}, c={c!r}, delta={delta!r}"
-        )
-    accuracy = (1.0 - c) * epsilon
-    return math.ceil(b**2 / (2.0 * accuracy**2) * math.log(2.0 / delta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,23 +100,41 @@ class QpeEstimate:
     n_samples: int
 
 
+def _residues(outcomes: np.ndarray, q: int) -> np.ndarray:
+    """Signed int64 residues of register outcomes on the 2**q lattice."""
+    return gaussian.wrap_mod(outcomes, 0.0, q).astype(np.int64)
+
+
+def _window_rounds(residues: np.ndarray, two_K: int, dark_bins: int):
+    """Window each row of a (rows, M0) residue block on its leftmost residue.
+
+    Returns the per-row anchors, the basket mask, basket counts and sums,
+    and the total dark count: samples in the ``dark_bins``-wide segment
+    just right of the window, a diagnostic for mass that a correctly
+    sized plan keeps empty.
+    """
+    anchors = residues.min(axis=1)
+    edge = (anchors + two_K)[:, np.newaxis]
+    mask = residues <= edge
+    counts = mask.sum(axis=1)
+    sums = np.where(mask, residues, 0).sum(axis=1)
+    n_dark = int(np.count_nonzero(~mask & (residues <= edge + dark_bins)))
+    return anchors, mask, counts, sums, n_dark
+
+
 def basket_from_outcomes(outcomes: np.ndarray, plan: PlanParams) -> Basket:
     """Wrap raw register outcomes and anchor the window on the leftmost
-    residue. The dark count tallies samples in the ``dark_bins``-wide
-    segment just right of the window, a diagnostic for mass that a
-    correctly sized plan keeps empty."""
+    residue."""
     outcomes = np.asarray(outcomes)
     if outcomes.ndim != 1 or outcomes.size == 0:
         raise ValueError("outcomes must be a nonempty 1-d array")
-    residues = gaussian.wrap_mod(outcomes.astype(np.float64), 0.0, plan.q)
-    residues = residues.astype(np.int64)
-    anchor = int(residues.min())
-    edge = anchor + plan.two_K
-    members = residues[residues <= edge]
-    n_dark = int(np.count_nonzero((residues > edge) & (residues <= edge + plan.dark_bins)))
+    residues = _residues(outcomes, plan.q)
+    anchors, mask, _, _, n_dark = _window_rounds(
+        residues[np.newaxis, :], plan.two_K, plan.dark_bins
+    )
     return Basket(
-        anchor=anchor,
-        members=members,
+        anchor=int(anchors[0]),
+        members=residues[mask[0]],
         round_samples=int(residues.size),
         n_dark=n_dark,
     )
@@ -147,8 +151,7 @@ def moment_from_basket(
     """Basket moment of order ``m`` (default: the plan's order)."""
     if m is None:
         m = plan.m
-    if not (isinstance(m, int) and 1 <= m <= 4):
-        raise ValueError(f"m must be an integer in [1, 4], got {m!r}")
+    _check_order(m)
     values = basket.members.astype(np.float64)
     value_bins = float(np.mean(values**m))
     return MomentSample(
@@ -183,7 +186,6 @@ def run_gsee(
     stream = SampleStream(dist, seed)
 
     M, M0 = plan.M, round_plan.M0
-    two_K, dark_bins, q = round_plan.two_K, round_plan.dark_bins, round_plan.q
     rows_per_batch = max(1, _BATCH_DRAWS // M0)
     means = np.empty(M, dtype=np.float64)
     anchors = np.empty(M, dtype=np.int64)
@@ -192,20 +194,13 @@ def run_gsee(
     done = 0
     while done < M:
         rows = min(rows_per_batch, M - done)
-        outcomes = stream.draw(rows * M0).astype(np.float64)
-        residues = gaussian.wrap_mod(outcomes, 0.0, q).astype(np.int64)
-        residues = residues.reshape(rows, M0)
-        batch_anchor = residues.min(axis=1)
-        edge = batch_anchor + two_K
-        mask = residues <= edge[:, np.newaxis]
-        counts = mask.sum(axis=1)
-        sums = np.where(mask, residues, 0).sum(axis=1)
-        means[done : done + rows] = sums / counts
-        anchors[done : done + rows] = batch_anchor
-        dark = (residues > edge[:, np.newaxis]) & (
-            residues <= (edge + dark_bins)[:, np.newaxis]
+        residues = _residues(stream.draw(rows * M0), round_plan.q).reshape(rows, M0)
+        batch_anchors, _, counts, sums, batch_dark = _window_rounds(
+            residues, round_plan.two_K, round_plan.dark_bins
         )
-        n_dark += int(np.count_nonzero(dark))
+        means[done : done + rows] = sums / counts
+        anchors[done : done + rows] = batch_anchors
+        n_dark += batch_dark
         basket_total += int(counts.sum())
         done += rows
 
@@ -218,7 +213,7 @@ def run_gsee(
         mu_hat=mu_hat,
         per_round_means=means,
         M_used=M,
-        q=q,
+        q=round_plan.q,
         n_dark=n_dark,
         n_left=n_left,
         diagnostics={
@@ -251,8 +246,7 @@ def run_qpe_baseline(
     window = rectangular_window(baseline.q)
     probs = distribution_from_window(window, spec.ground_phase)
     stream = SampleStream(probs, seed)
-    outcomes = stream.draw(baseline.n_samples).astype(np.float64)
-    residues = gaussian.wrap_mod(outcomes, 0.0, baseline.q).astype(np.int64)
+    residues = _residues(stream.draw(baseline.n_samples), baseline.q)
     values, counts = np.unique(residues, return_counts=True)
     # np.unique sorts ascending and argmax takes the first maximum, so
     # vote ties resolve toward the lower residue.

@@ -3,8 +3,10 @@
 Conventions used throughout the package:
 
 * Phases ("energies") live in turns, theta in (-1/2, 1/2).
-* Lattice positions ("bins") are integers k with -2**(q-1) <= k < 2**(q-1)
-  after signed wrapping; sigma and mu below are measured in bins.
+* Lattice positions ("bins") are integers; sigma and mu below are
+  measured in bins. ``wrap_mod`` maps a register outcome in [0, 2**q) to
+  a signed residue in (-2**(q-1), 2**(q-1)]: it rounds half to even, so
+  the outcome 2**(q-1) wraps to +2**(q-1).
 * The Fourier transform convention is
   F(f)(k) = integral of exp(-2*pi*i*x*k) * f(x) dx, so the transform of the
   unit Gaussian centered at mu is exp(-2*pi**2*sigma**2*k**2 - 2*pi*i*mu*k).

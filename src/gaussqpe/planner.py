@@ -38,10 +38,12 @@ __all__ = [
     "GseePlan",
     "QpeBaseline",
     "compute_C_eta",
+    "hoeffding_sample_count",
     "plan_sampling_round",
     "plan_gsee",
     "plan_qpe_baseline",
     "plan_to_text",
+    "flatten_record",
 ]
 
 # Default interpolation coefficient: splits the accuracy budget so the
@@ -88,6 +90,24 @@ def compute_C_eta(eta: float) -> float:
 def _check_eta(eta: float) -> None:
     if not (isinstance(eta, (int, float)) and 0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+
+
+def _check_order(m: int) -> None:
+    if isinstance(m, bool) or not (isinstance(m, int) and 1 <= m <= 4):
+        raise ValueError(f"m must be an integer in [1, 4], got {m!r}")
+
+
+def hoeffding_sample_count(b: float, epsilon: float, c: float, delta: float) -> int:
+    """Samples needed so a mean of values with support width ``b`` lands
+    within (1 - c) * epsilon of its expectation except with probability
+    ``delta``: ceil(b**2 / (2 * ((1-c) * epsilon)**2) * ln(2/delta))."""
+    if not (b > 0.0 and epsilon > 0.0 and 0.0 <= c < 1.0 and 0.0 < delta < 1.0):
+        raise ValueError(
+            f"need b > 0, epsilon > 0, c in [0, 1), delta in (0, 1); "
+            f"got b={b!r}, epsilon={epsilon!r}, c={c!r}, delta={delta!r}"
+        )
+    accuracy = (1.0 - c) * epsilon
+    return math.ceil(b**2 / (2.0 * accuracy**2) * math.log(2.0 / delta))
 
 
 @dataclass(frozen=True)
@@ -137,8 +157,7 @@ class PlanInputs:
             )
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not (isinstance(self.m, int) and 1 <= self.m <= 4):
-            raise ValueError(f"m must be an integer in [1, 4], got {self.m!r}")
+        _check_order(self.m)
         if not (0.0 < self.c < 1.0):
             raise ValueError(f"c must lie in (0, 1), got {self.c!r}")
 
@@ -293,6 +312,18 @@ def _predicate_values(
     return A, T, math.sqrt(max(R2, 0.0))
 
 
+def _window_predicates(
+    A: float, T: float, R: float, u: float, eta: float
+) -> dict[str, bool]:
+    """Window-quality predicates, in the order a failing one is reported."""
+    return {
+        "aliasing_eighth": A <= _PREDICATE_CEILING,
+        "tail_eighth": T <= _PREDICATE_CEILING,
+        "contamination_eighth": R / math.sqrt(eta) <= _PREDICATE_CEILING,
+        "u_floor": u > 1.0,
+    }
+
+
 def plan_sampling_round(
     delta: float, eta: float, Delta_max: float, m: int, eps_rel: float
 ) -> PlanParams:
@@ -322,8 +353,7 @@ def plan_sampling_round(
     _check_eta(eta)
     if not (0.0 < Delta_max < 1.0):
         raise ValueError(f"Delta_max must lie in (0, 1), got {Delta_max!r}")
-    if not (isinstance(m, int) and 1 <= m <= 4):
-        raise ValueError(f"m must be an integer in [1, 4], got {m!r}")
+    _check_order(m)
     if not (0.0 < eps_rel < 1.0):
         raise ValueError(f"eps_rel must lie in (0, 1), got {eps_rel!r}")
 
@@ -360,17 +390,10 @@ def plan_sampling_round(
         if width < 3:
             return "window_width", None
         K = (width - 1) // 2
-        sigma_bins = sigma_tilde * float(1 << q)
-        A, T, R = _predicate_values(sigma_bins, q, K, Delta)
-        if A > _PREDICATE_CEILING:
-            return "aliasing_eighth", None
-        if T > _PREDICATE_CEILING:
-            return "tail_eighth", None
-        if R / math.sqrt(eta) > _PREDICATE_CEILING:
-            return "contamination_eighth", None
-        if not u > 1.0:
-            return "u_floor", None
-        return None, (width, K, A, T, R)
+        A, T, R = _predicate_values(sigma_tilde * float(1 << q), q, K, Delta)
+        passed = _window_predicates(A, T, R, u, eta)
+        failing = next((name for name, ok in passed.items() if not ok), None)
+        return failing, (width, K, passed)
 
     Delta = Delta_max
     log_inv_delta = log_inv_delta0
@@ -420,7 +443,7 @@ def plan_sampling_round(
             failing or "revalidation",
         )
 
-    M0, L, sigma_tilde, u, q, (width, K, A, T, R) = state
+    M0, L, sigma_tilde, u, q, (width, K, window_flags) = state
     n_bins = float(1 << q)
     sigma_bins = sigma_tilde * n_bins
     ratio_ok = L >= 4.0 * (1.0 + 3.0 * u)
@@ -429,10 +452,7 @@ def plan_sampling_round(
         (1.0 + 3.0 * u) * L
     )
     flags = {
-        "aliasing_eighth": A <= _PREDICATE_CEILING,
-        "tail_eighth": T <= _PREDICATE_CEILING,
-        "contamination_eighth": R / math.sqrt(eta) <= _PREDICATE_CEILING,
-        "u_floor": u > 1.0,
+        **window_flags,
         "delta_ratio": ratio_ok,
         "q_floor_delta_sixth": 1.0 / n_bins <= Delta / 6.0,
         "tail_regime": K >= 1 and sigma_bins <= K - 0.5,
@@ -480,12 +500,8 @@ def plan_gsee(inputs: PlanInputs) -> GseePlan:
     """
     Delta = inputs.Delta_true ** (1.0 - inputs.alpha) * inputs.epsilon**inputs.alpha
     delta = inputs.delta_fail
-    M = math.ceil(
-        8.0
-        * Delta**2
-        / (9.0 * inputs.epsilon**2 * (1.0 - inputs.c) ** 2)
-        * math.log(4.0 / delta)
-    )
+    support_bound = 4.0 * Delta / 3.0
+    M = hoeffding_sample_count(support_bound, inputs.epsilon, inputs.c, delta / 2.0)
     delta_tilde_1 = delta / (4.0 * M)
     if delta_tilde_1 > 0.01:
         raise PlanInfeasible(
@@ -501,7 +517,7 @@ def plan_gsee(inputs: PlanInputs) -> GseePlan:
         M=M,
         delta_tilde_1=delta_tilde_1,
         delta_2=delta / 2.0,
-        support_bound=4.0 * Delta / 3.0,
+        support_bound=support_bound,
         round_plan=round_plan,
     )
 
@@ -521,21 +537,23 @@ def plan_qpe_baseline(epsilon: float, delta: float) -> QpeBaseline:
     return QpeBaseline(epsilon=epsilon, delta=delta, q=q, n_samples=n)
 
 
+def flatten_record(record: dict[str, Any]) -> dict[str, Any]:
+    """Nested record as one level of dotted keys, sorted at every level."""
+    out: dict[str, Any] = {}
+    for key in sorted(record):
+        value = record[key]
+        if isinstance(value, dict):
+            for name, leaf in flatten_record(value).items():
+                out[f"{key}.{name}"] = leaf
+        else:
+            out[key] = value
+    return out
+
+
 def plan_to_text(plan: PlanParams | GseePlan | QpeBaseline) -> str:
     """Flat ``key = value`` rendering of a plan record."""
-    record = plan.to_dict()
-    lines: list[str] = []
-
-    def emit(prefix: str, obj: Any) -> None:
-        if isinstance(obj, dict):
-            for key in sorted(obj):
-                emit(f"{prefix}{key}." if prefix else f"{key}.", obj[key])
-            return
-        name = prefix[:-1] if prefix.endswith(".") else prefix
-        if isinstance(obj, float):
-            lines.append(f"{name} = {obj!r}")
-        else:
-            lines.append(f"{name} = {obj}")
-
-    emit("", record)
+    lines = [
+        f"{name} = {value!r}" if isinstance(value, float) else f"{name} = {value}"
+        for name, value in flatten_record(plan.to_dict()).items()
+    ]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Exact outcome distributions for windowed phase estimation.
+"""Outcome distributions for windowed phase estimation.
 
 The measured register holds q qubits, so outcomes live on the N = 2**q
 bins z = 0..N-1. For an eigenphase theta (in turns, inside (-1/2, 1/2))
@@ -10,9 +10,13 @@ computed here in one FFT per eigenphase. Mixed initial states are
 handled classically: the register distribution is the overlap-weighted
 sum of the per-eigenstate distributions.
 
-Everything in this module is float64; sampling uses inverse-CDF lookups
-against a counter-based generator so that identical seeds reproduce
-identical byte streams regardless of draw batching.
+Everything in this module is float64, so the probabilities are accurate
+in absolute terms only: each bin is off by at most about 1e-16 times the
+peak probability. Far tails are not resolved; there the computed values
+sit on a rounding floor near 1e-31 where the analytic tail is near 1e-91.
+Sampling uses inverse-CDF lookups against a counter-based generator so
+that identical seeds reproduce identical byte streams regardless of draw
+batching.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "mixed_distribution",
     "OutcomeDistribution",
     "SampleStream",
-    "draw_samples",
 ]
 
 _SUM_TOL = 1e-12
@@ -250,7 +253,7 @@ def eigenstate_distribution(theta: float, plan: PlanParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Exact register distribution for a spectrum under one plan.
+    """Register distribution for a spectrum under one plan.
 
     ``per_eigenstate`` has shape (J, N) with one row per eigenphase;
     ``mixed`` is the overlap-weighted row sum; ``cdf`` is its cumulative
@@ -274,7 +277,7 @@ def mixed_distribution(
     plan: PlanParams | GseePlan,
     validate: bool = True,
 ) -> OutcomeDistribution:
-    """Build the exact outcome distribution of one sampling round."""
+    """Build the outcome distribution of one sampling round."""
     round_plan = plan.round_plan if isinstance(plan, GseePlan) else plan
     if validate:
         spec.validate_for_plan(round_plan)
@@ -329,11 +332,3 @@ class SampleStream:
         u = self._rng.random(n)
         return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
 
-
-def draw_samples(
-    dist: OutcomeDistribution,
-    n: int,
-    seed: int | np.random.SeedSequence,
-) -> np.ndarray:
-    """One-shot convenience wrapper around ``SampleStream``."""
-    return SampleStream(dist, seed).draw(n)

@@ -1,10 +1,10 @@
-"""Scalar special functions used by the query planner.
+"""Lambert W_{-1} in log-domain form, and its sandwich bounds.
 
-The lower branch of the Lambert W function inverts the bin-count
-requirement of the sampling planner, and the derivative bound backs the
-window-moment error analysis. Both are small enough to own outright; the
-test suite cross-checks the W implementation against an independent
-library oracle.
+The register-width requirement of the sampling planner inverts through
+the lower branch of the Lambert W function. The planner sizes with the
+closed-form ceiling 1 + 3u, and the bound laboratory certifies that
+ceiling against the solver here. The test suite cross-checks the solver
+against an independent library oracle.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "lambert_wm1",
     "lambert_wm1_exp",
     "wm1_sandwich",
-    "derivative_bound",
 ]
 
 _RESIDUAL_TOL = 1e-12
@@ -72,44 +70,3 @@ def lambert_wm1_exp(u: float) -> float:
             f"lambert_wm1_exp failed to converge at u={u!r}: residual {residual:.3e}"
         )
     return w
-
-
-def lambert_wm1(y: float) -> float:
-    """Lower real branch W_{-1}(y) on the domain [-1/e, 0).
-
-    Solves w * exp(w) = y with w <= -1. The boundary y = -1/e maps to -1
-    exactly; y >= 0 and y < -1/e are rejected. The converged residual
-    |w e^w - y| is verified to be at most 1e-12 relative to |y|.
-    """
-    if not math.isfinite(y):
-        raise ValueError(f"y must be finite, got {y!r}")
-    if y >= 0.0 or y < -1.0 / math.e:
-        raise ValueError(f"y must lie in [-1/e, 0), got {y!r}")
-    if y == -1.0 / math.e:
-        return -1.0
-    u = -math.log(-y) - 1.0
-    if u <= 0.0:
-        # -1/e is not exactly representable; arguments indistinguishable
-        # from it in float64 land here.
-        return -1.0
-    w = lambert_wm1_exp(u)
-    residual = abs(w * math.exp(w) - y)
-    if residual > _RESIDUAL_TOL * abs(y):
-        raise ArithmeticError(
-            f"lambert_wm1 failed to converge at y={y!r}: residual {residual:.3e}"
-        )
-    return w
-
-
-def derivative_bound(M: float, n: int, r: float) -> float:
-    """Cauchy-type ceiling M * n! * 2**n / r**n on |f^(n)(z)| for |z| <= r/2.
-
-    ``M`` must dominate |f| on the closed disk of radius ``r``.
-    """
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    if not (math.isfinite(M) and M >= 0.0):
-        raise ValueError(f"M must be finite and >= 0, got {M!r}")
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"r must be finite and > 0, got {r!r}")
-    return M * math.factorial(n) * 2.0**n / r**n

@@ -2,10 +2,18 @@
 
 import csv
 import json
+import math
 import os
 
 import pytest
 
+from gaussqpe.bounds import (
+    DEFAULT_DELTAS,
+    DEFAULT_ETAS,
+    DEFAULT_GAPS,
+    DEFAULT_MU_CENTERS,
+    DEFAULT_ORDERS,
+)
 from gaussqpe.cli import main
 
 BASE_CONFIG = {
@@ -123,14 +131,50 @@ def test_bounds_mode_reduced_grid(tmp_path):
         "mu_centers": [0.0],
         "mc": False,
     }
-    rc, out = run(tmp_path, ["--mode", "bounds"])
+    rc, out = run(tmp_path, ["--mode", "bounds"], config=config)
     assert rc == 0
     rows = read_csv(os.path.join(out, "bounds.csv"))
     assert all(r["holds"] == "True" for r in rows if r["preconditions_met"] == "True")
-    for row in rows[:3]:
-        json.loads(row["params"])
+    params = [json.loads(row["params"]) for row in rows]
+    assert {p["plan"] for p in params} == {"eta0.5_delta0.01_gap0.1_m1"}
+    assert {p["mu_center"] for p in params if "mu_center" in p} == {0.0}
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["n_violations"] == 0
+    assert "mc_round_failure" not in summary["kinds"]
+    # The default grid has at least one case per (plan, center) pair.
+    default_pairs = math.prod(
+        len(axis)
+        for axis in (
+            DEFAULT_ETAS,
+            DEFAULT_DELTAS,
+            DEFAULT_GAPS,
+            DEFAULT_ORDERS,
+            DEFAULT_MU_CENTERS,
+        )
+    )
+    assert summary["n_cases"] == len(rows) < default_pairs
+
+
+@pytest.mark.parametrize(
+    "mode, section, key, value, message",
+    [
+        ("plan", "inputs", "m", 1.9, "m must be an integer"),
+        ("plan", "inputs", "m", True, "m must be an integer"),
+        ("plan", None, "runs", 2.7, "runs must be an integer"),
+        ("plan", None, "seed", "1", "seed must be an integer"),
+        ("plan", None, "threads", False, "threads must be an integer"),
+        ("bounds", "bounds", "mc", "false", "bounds.mc must be true or false"),
+        ("bounds", "bounds", "orders", [1.0], "bounds.orders entry must be an integer"),
+        ("bounds", "bounds", "mc_rounds", 20.5, "bounds.mc_rounds must be an integer"),
+    ],
+)
+def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, value, message):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    node = config.setdefault(section, {}) if section else config
+    node[key] = value
+    rc, _ = run(tmp_path, ["--mode", mode], config=config)
+    assert rc == 1
+    assert message in capsys.readouterr().err
 
 
 def test_gsee_thread_count_does_not_change_bytes(tmp_path):

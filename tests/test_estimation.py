@@ -10,13 +10,17 @@ import pytest
 
 from gaussqpe.estimation import (
     basket_from_outcomes,
-    hoeffding_sample_count,
     moment_from_basket,
     run_gsee,
     run_qpe_baseline,
     run_sampling_round,
 )
-from gaussqpe.planner import PlanInputs, plan_gsee, plan_sampling_round
+from gaussqpe.planner import (
+    PlanInputs,
+    hoeffding_sample_count,
+    plan_gsee,
+    plan_sampling_round,
+)
 from gaussqpe.simulator import SampleStream, SpectrumSpec, mixed_distribution
 
 HOEFFDING_185 = 185

@@ -1,8 +1,9 @@
-"""Lambert branch solver and derivative ceilings.
+"""Lambert branch solver and its sandwich bounds.
 
 Reference W_{-1} values frozen from mpmath.lambertw(. , -1) in
 tests/make_oracles.py; scipy provides an independent implementation for
-the randomized comparison.
+the randomized comparison. References quoted at an argument y of
+W_{-1} are checked through the log-domain solver at u = -ln(-y) - 1.
 """
 
 import math
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
-from gaussqpe.special import (
-    derivative_bound,
-    lambert_wm1,
-    lambert_wm1_exp,
-    wm1_sandwich,
-)
+from gaussqpe.special import lambert_wm1_exp, wm1_sandwich
+
+
+def _u_of(y):
+    """Log-domain argument u with -exp(-u - 1) = y."""
+    return -math.log(-y) - 1.0
+
 
 WM1_EXP_U1 = -3.1461932206205825852
 WM1_Y01 = -3.5771520639572972184
@@ -27,22 +29,25 @@ WM1_U20 = -24.185764204040805482
 def test_branch_values_match_reference():
     assert lambert_wm1_exp(1.0) == pytest.approx(WM1_EXP_U1, rel=1e-12)
     assert lambert_wm1_exp(20.0) == pytest.approx(WM1_U20, rel=1e-12)
-    assert lambert_wm1(-0.1) == pytest.approx(WM1_Y01, rel=1e-12)
-    assert lambert_wm1(-0.25) == pytest.approx(WM1_Y025, rel=1e-12)
+    assert lambert_wm1_exp(_u_of(-0.1)) == pytest.approx(WM1_Y01, rel=1e-12)
+    assert lambert_wm1_exp(_u_of(-0.25)) == pytest.approx(WM1_Y025, rel=1e-12)
 
 
 def test_branch_point():
-    assert lambert_wm1(-1.0 / math.e) == pytest.approx(-1.0, rel=1e-8)
+    assert lambert_wm1_exp(_u_of(-1.0 / math.e)) == pytest.approx(-1.0, rel=1e-8)
     assert lambert_wm1_exp(0.0) == pytest.approx(-1.0, rel=1e-6)
 
 
 def test_rejects_positive_or_subcritical_argument():
+    # y < -1/e maps to u < 0; y >= 0 has no real u, so the log-domain
+    # form cannot even be called there. A non-finite u is rejected too.
     with pytest.raises(ValueError):
-        lambert_wm1(0.1)
-    with pytest.raises(ValueError):
-        lambert_wm1(-0.5)
+        lambert_wm1_exp(_u_of(-0.5))
     with pytest.raises(ValueError):
         lambert_wm1_exp(-1.0)
+    for u in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            lambert_wm1_exp(u)
 
 
 @given(st.floats(min_value=1e-3, max_value=700.0))
@@ -76,21 +81,3 @@ def test_sandwich_orders_terms():
     assert mid == pytest.approx(1.0 + 2.0 + 2.0)
     assert upper == pytest.approx(7.0)
 
-
-def test_derivative_bound_covers_exponential():
-    # exp is its own derivative; on |z| <= r its modulus is at most e**r,
-    # so the Cauchy-style ceiling must dominate 1 = |exp^(n)(0)|.
-    for n in range(1, 8):
-        for r in (0.5, 1.0, 2.0):
-            assert derivative_bound(math.exp(r), n, r) >= 1.0
-
-
-def test_derivative_bound_formula():
-    assert derivative_bound(3.0, 4, 2.0) == pytest.approx(3.0 * 24 * 16 / 16.0)
-
-
-def test_derivative_bound_validation():
-    with pytest.raises(ValueError):
-        derivative_bound(-1.0, 2, 1.0)
-    with pytest.raises(ValueError):
-        derivative_bound(1.0, 2, 0.0)
