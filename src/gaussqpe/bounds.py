@@ -146,8 +146,10 @@ def _case(
     exact: mpmath.mpf,
     bound: mpmath.mpf,
     preconditions_met: bool,
+    margin: mpmath.mpf | None = None,
 ) -> BoundCase:
-    margin = bound - exact
+    if margin is None:
+        margin = bound - exact
     return BoundCase(
         kind=kind,
         params=params,
@@ -212,24 +214,11 @@ def _range_moments(mu, sigma, lo, hi, m_max: int) -> list[mpmath.mpf]:
     return totals
 
 
-def _Gm0(m: int, mu, sigma) -> mpmath.mpf:
-    """Continuous moment of order m of the Gaussian window."""
-    s2 = sigma**2
-    if m == 0:
-        return mpmath.mpf(1)
-    if m == 1:
-        return mu
-    if m == 2:
-        return mu**2 + s2
-    if m == 3:
-        return mu**3 + 3 * s2 * mu
-    if m == 4:
-        return mu**4 + 6 * s2 * mu**2 + 3 * s2**2
-    raise ValueError(f"moment order must be 0..4, got {m!r}")
-
-
 def _Gmk(m: int, k: int, mu, sigma) -> mpmath.mpc:
-    """Fourier dual of the order-m moment sum at integer frequency k."""
+    """Fourier dual of the order-m moment sum at integer frequency k.
+
+    At k = 0 its real part is the continuous moment of the window.
+    """
     s2 = sigma**2
     g0 = mpmath.exp(
         mpmath.mpc(-2 * mpmath.pi**2 * s2 * k * k, -2 * mpmath.pi * mu * k)
@@ -270,19 +259,23 @@ def _alias_sums(m: int, mu, sigma) -> tuple[mpmath.mpf, mpmath.mpf]:
     raise ArithmeticError("dual-frequency sum failed to converge")
 
 
-def _register_tail(mu, sigma, q: int) -> mpmath.mpf:
-    """Mass of the full-lattice Gaussian outside [-N/2, N/2 - 1]."""
-    half = 1 << (q - 1)
-    upper = _range_moments(mu, sigma, half, None, 0)[0]
-    lower = _range_moments(mu, sigma, None, -half - 1, 0)[0]
-    return upper + lower
-
-
-def _tail_moments(mu, sigma, K: int, m_max: int) -> list[mpmath.mpf]:
-    """Signed sums of n**j * g(n) for |n| > K, j = 0..m_max."""
-    upper = _range_moments(mu, sigma, K + 1, None, m_max)
-    lower = _range_moments(mu, sigma, None, -K - 1, m_max)
+def _outside_moments(mu, sigma, lo: int, hi: int, m_max: int) -> list[mpmath.mpf]:
+    """Sums of n**j * g(n) for integer n outside [lo, hi], j = 0..m_max."""
+    upper = _range_moments(mu, sigma, hi + 1, None, m_max)
+    lower = _range_moments(mu, sigma, None, lo - 1, m_max)
     return [u + l for u, l in zip(upper, lower)]
+
+
+def _geometry(j: int, K: int) -> mpmath.mpf:
+    """Window-functional factor j! (2K+1)^j / (pi delta)^j e^(2 pi delta),
+    delta = 1/pi: bounds |sum n^j d_n| by it times |d|_1 on the window."""
+    delta2 = 1 / mpmath.pi
+    return (
+        mpmath.factorial(j)
+        * mpmath.mpf(2 * K + 1) ** j
+        / (mpmath.pi**j * delta2**j)
+        * mpmath.exp(2 * mpmath.pi * delta2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +308,16 @@ class _TwoStateModel:
             s, a = _alias_sums(j, self.mu, self.sigma)
             self.alias_signed.append(s)
             self.alias_abs.append(a)
-        self.G0m = [_Gm0(j, self.mu, self.sigma) for j in range(m_max + 1)]
-        self.tail_mom = _tail_moments(self.mu, self.sigma, self.K, m_max)
+        self.G0m = [_Gmk(j, 0, self.mu, self.sigma).real for j in range(m_max + 1)]
+        self.tail_mom = _outside_moments(self.mu, self.sigma, -self.K, self.K, m_max)
         self.T = self.tail_mom[0]
         self.A = abs(self.alias_signed[0])
         # Register normalizations, as offsets from 1.
-        self.reg_tail0 = _register_tail(self.mu, self.sigma, plan.q)
+        half = self.N // 2
+        self.reg_tail0 = _outside_moments(self.mu, self.sigma, -half, half - 1, 0)[0]
         self.norm0_minus_1 = self.alias_signed[0] - self.reg_tail0
         alias1_signed, _ = _alias_sums(0, self.mu1, self.sigma)
-        self.reg_tail1 = _register_tail(self.mu1, self.sigma, plan.q)
+        self.reg_tail1 = _outside_moments(self.mu1, self.sigma, -half, half - 1, 0)[0]
         self.norm1_minus_1 = alias1_signed - self.reg_tail1
         self.N0 = 1 + self.norm0_minus_1
         self.N1 = 1 + self.norm1_minus_1
@@ -347,6 +341,14 @@ class _TwoStateModel:
             if self.eta < 1
             else mpmath.mpf(0)
         )
+        self.cross_w = mpmath.sqrt(self.eta * (1 - self.eta) / (self.N0 * self.N1))
+        self.root_inv_eta = mpmath.sqrt(1 / self.eta)
+        # Shared precondition of the hit-rate and error-component bounds.
+        self.eighth_trio = bool(
+            self.A <= _EIGHTH
+            and self.T <= _EIGHTH
+            and self.root_inv_eta * self.R <= _EIGHTH
+        )
 
     # Polluted-vector offsets, per relative sign.
 
@@ -362,54 +364,55 @@ class _TwoStateModel:
         d = self.alias_signed[j] - self.tail_mom[j] + self.poll_mom(s, j)
         return abs(self.G0m[j] * s0 - d) / (1 + s0)
 
-    def window_vector_terms(self, s: int, m_max: int):
-        """Per-bin normalized |h|^2 - |f|^2 data: (l1 norm, moment sums)."""
-        s0 = self.fpol_sq_minus_1(s)
+    def window_vector_terms(self, m_max: int):
+        """Per-bin normalized |h|^2 - |f|^2 data for both signs, in one
+        walk over the window: {s: (l1 norm, moment sums)}."""
         F0 = 1 + self.alias_signed[0] - self.T
-        poll0 = self.poll_mom(s, 0)
-        l1 = mpmath.mpf(0)
-        mom = [mpmath.mpf(0)] * (m_max + 1)
+        signs = (-1, +1)
+        s0 = {s: self.fpol_sq_minus_1(s) for s in signs}
+        poll0 = {s: self.poll_mom(s, 0) for s in signs}
+        l1 = {s: mpmath.mpf(0) for s in signs}
+        mom = {s: [mpmath.mpf(0)] * (m_max + 1) for s in signs}
         for n in range(-self.K, self.K + 1):
             g = _gauss(n, self.mu, self.sigma)
             f = mpmath.sqrt(g)
-            e = s * self.c_mix * mpmath.sqrt(_gauss(n, self.mu1, self.sigma))
-            d = (2 * f * e + e**2 - g * poll0 / F0) / (1 + s0)
-            l1 += abs(d)
-            nj = mpmath.mpf(1)
-            for j in range(m_max + 1):
-                mom[j] += nj * d
-                nj *= n
-        return l1, mom
+            e = self.c_mix * mpmath.sqrt(_gauss(n, self.mu1, self.sigma))
+            for s in signs:
+                d = (2 * f * (s * e) + e**2 - g * poll0[s] / F0) / (1 + s0[s])
+                l1[s] += abs(d)
+                nj = mpmath.mpf(1)
+                for j in range(m_max + 1):
+                    mom[s][j] += nj * d
+                    nj *= n
+        return {s: (l1[s], mom[s]) for s in signs}
 
     # Single-draw probabilities of the coherent mixture.
 
-    def _region_prob(self, s: int, lo, hi) -> mpmath.mpf:
+    def _region_probs(self, lo, hi) -> dict[int, mpmath.mpf]:
+        """Probability of one draw landing in [lo, hi], per sign."""
         ground = _range_moments(self.mu, self.sigma, lo, hi, 0)[0]
         cont = _range_moments(self.mu1, self.sigma, lo, hi, 0)[0]
         mid = self.xfac * _range_moments(self.mubar, self.sigma, lo, hi, 0)[0]
-        cross_w = mpmath.sqrt(self.eta * (1 - self.eta) / (self.N0 * self.N1))
-        num = (
-            self.eta / self.N0 * ground
-            + 2 * s * cross_w * mid
-            + (1 - self.eta) / self.N1 * cont
+        probs = {}
+        for s in (-1, +1):
+            num = (
+                self.eta / self.N0 * ground
+                + 2 * s * self.cross_w * mid
+                + (1 - self.eta) / self.N1 * cont
+            )
+            probs[s] = num / (1 + 2 * s * self.cross_w * self.cross_lattice)
+        return probs
+
+    def fail_probs(self) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
+        """Adverse-sign (p_left, p_gap, p_xleft): a draw left of the
+        separation line, in the gap, and in the left half-window."""
+        left = self._region_probs(None, int(mpmath.floor(self.mu - self.ND / 3)) - 1)
+        gap = self._region_probs(
+            int(mpmath.ceil(self.mu + self.ND / 3)),
+            int(mpmath.floor(self.mu + 2 * self.ND / 3)),
         )
-        norm_tot = 1 + 2 * s * cross_w * self.cross_lattice
-        return num / norm_tot
-
-    def p_xleft(self, s: int) -> mpmath.mpf:
-        return self._region_prob(s, -self.K, 0)
-
-    def p_window(self, s: int) -> mpmath.mpf:
-        return self._region_prob(s, -self.K, self.K)
-
-    def p_left(self, s: int) -> mpmath.mpf:
-        edge = int(mpmath.floor(self.mu - self.ND / 3)) - 1
-        return self._region_prob(s, None, edge)
-
-    def p_gap(self, s: int) -> mpmath.mpf:
-        lo = int(mpmath.ceil(self.mu + self.ND / 3))
-        hi = int(mpmath.floor(self.mu + 2 * self.ND / 3))
-        return self._region_prob(s, lo, hi)
+        xleft = self._region_probs(-self.K, 0)
+        return max(left.values()), max(gap.values()), min(xleft.values())
 
     def p0_tilde(self, s: int) -> mpmath.mpf:
         return self.eta * (1 + self.fpol_sq_minus_1(s)) / self.N0
@@ -506,11 +509,9 @@ def _tail_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundCase]:
 def _hit_rate_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundCase]:
     eta_mp = model.eta
     A, T, R = model.A, model.T, model.R
-    root_inv_eta = mpmath.sqrt(1 / eta_mp)
-    preconds = bool(A <= _EIGHTH and T <= _EIGHTH and root_inv_eta * R <= _EIGHTH)
 
     v = A + T
-    w = A + T + mpmath.mpf("2.25") * root_inv_eta * R
+    w = A + T + mpmath.mpf("2.25") * model.root_inv_eta * R
     # The measured hit rate, at the adverse (destructive) sign.
     p0_worst = min(model.p0_tilde(-1), model.p0_tilde(+1))
     lower = eta_mp * (1 - w) / (1 + v)
@@ -519,26 +520,12 @@ def _hit_rate_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundCa
     t0 = model.norm0_minus_1
     numerator = (1 + s0) * (1 + v) - (1 - w) * (1 + t0)
     margin = eta_mp * numerator / (model.N0 * (1 + v))
-    case = BoundCase(
-        kind="hit_rate",
-        params={**base, "orientation": "lower"},
-        exact=float(lower),
-        bound=float(p0_worst),
-        margin=float(margin),
-        exact_log10=_log10_or(abs(lower)),
-        bound_log10=_log10_or(abs(p0_worst)),
-        margin_log10=_log10_or(margin) if margin >= 0 else math.nan,
-        preconditions_met=preconds,
-        holds=bool(margin >= 0),
-    )
-    floor_case = _case(
-        "hit_rate_floor",
-        {**base, "orientation": "lower"},
-        mpmath.mpf("0.375") * eta_mp,
-        p0_worst,
-        preconds,
-    )
-    return [case, floor_case]
+    params = {**base, "orientation": "lower"}
+    floor = mpmath.mpf("0.375") * eta_mp
+    return [
+        _case("hit_rate", params, lower, p0_worst, model.eighth_trio, margin=margin),
+        _case("hit_rate_floor", dict(params), floor, p0_worst, model.eighth_trio),
+    ]
 
 
 def _moment_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundCase]:
@@ -590,8 +577,7 @@ def _window_functional_cases(
     delta2 = 1 / mpmath.pi
 
     best: dict[int, tuple[mpmath.mpf, mpmath.mpf]] = {}
-    for s in (-1, +1):
-        l1, mom = model.window_vector_terms(s, m_max)
+    for l1, mom in model.window_vector_terms(m_max).values():
         for j in orders:
             exact = abs(mom[j])
             if j not in best or exact > best[j][0]:
@@ -600,16 +586,7 @@ def _window_functional_cases(
     cases = []
     for j in orders:
         exact, l1 = best[j]
-        if j == 0:
-            bound = l1
-        else:
-            bound = (
-                mpmath.factorial(j)
-                * mpmath.mpf(2 * K + 1) ** j
-                / (mpmath.pi**j * delta2**j)
-                * mpmath.exp(2 * mpmath.pi * delta2)
-                * l1
-            )
+        bound = l1 if j == 0 else _geometry(j, K) * l1
         cases.append(
             _case(
                 "window_moment_functional",
@@ -629,38 +606,28 @@ def _error_component_cases(
     j = plan.m
     sigma = model.sigma
     A, T, R = model.A, model.T, model.R
-    root_inv_eta = mpmath.sqrt(1 / model.eta)
-    eighth_trio = bool(A <= _EIGHTH and T <= _EIGHTH and root_inv_eta * R <= _EIGHTH)
-    delta2 = 1 / mpmath.pi
-    geometry = (
-        mpmath.factorial(j)
-        * mpmath.mpf(2 * model.K + 1) ** j
-        / (mpmath.pi**j * delta2**j)
-        * mpmath.exp(2 * mpmath.pi * delta2)
-    )
+    root_inv_eta = model.root_inv_eta
     spectral_gap_term = mpmath.sqrt(T) + mpmath.sqrt(mpmath.mpf(5) / 3) * root_inv_eta * R
 
-    trunc_exacts = []
+    # Per sign: truncation/pollution, normalization and total errors.
+    trunc, norm, decomposition = {}, {}, []
     for s in (-1, +1):
         s0 = model.fpol_sq_minus_1(s)
-        trunc_exacts.append(abs(model.tail_mom[j] - model.poll_mom(s, j)) / (1 + s0))
-    trunc_exact = max(trunc_exacts)
+        trunc[s] = abs(model.tail_mom[j] - model.poll_mom(s, j)) / (1 + s0)
+        norm[s] = abs(s0 / (1 + s0)) * abs(model.G0m[j])
+        parts = norm[s] + abs(model.alias_signed[j]) / (1 + s0) + trunc[s]
+        decomposition.append((s, model.total_eps(s, j), parts))
+
     for name, const in (("stated", "2.75"), ("derived", "3.125")):
-        cases_bound = mpmath.mpf(const) * geometry * spectral_gap_term
         yield _case(
             "truncation_pollution",
             {**base, "m": j, "constant": name},
-            trunc_exact,
-            cases_bound,
-            eighth_trio,
+            max(trunc.values()),
+            mpmath.mpf(const) * _geometry(j, model.K) * spectral_gap_term,
+            model.eighth_trio,
         )
 
     delta3 = 1 / mpmath.pi
-    norm_exacts = []
-    for s in (-1, +1):
-        s0 = model.fpol_sq_minus_1(s)
-        norm_exacts.append(abs(s0 / (1 + s0)) * abs(model.G0m[j]))
-    norm_exact = max(norm_exacts)
     norm_bound = (
         mpmath.mpf(128) / 45
         * mpmath.exp(2 * mpmath.pi * delta3 * abs(model.mu))
@@ -672,27 +639,14 @@ def _error_component_cases(
     yield _case(
         "normalization_error",
         {**base, "m": j, "delta3": float(delta3)},
-        norm_exact,
+        max(norm.values()),
         norm_bound,
-        bool(eighth_trio and abs(model.mu) <= model.K),
+        bool(model.eighth_trio and abs(model.mu) <= model.K),
     )
 
     # Triangle decomposition: total error vs sum of its three components.
-    for s in (-1, +1):
-        s0 = model.fpol_sq_minus_1(s)
-        total = model.total_eps(s, j)
-        parts = (
-            abs(s0 / (1 + s0)) * abs(model.G0m[j])
-            + abs(model.alias_signed[j]) / (1 + s0)
-            + abs(model.tail_mom[j] - model.poll_mom(s, j)) / (1 + s0)
-        )
-        yield _case(
-            "error_decomposition",
-            {**base, "m": j, "sign": s},
-            total,
-            parts,
-            True,
-        )
+    for s, total, parts in decomposition:
+        yield _case("error_decomposition", {**base, "m": j, "sign": s}, total, parts, True)
 
 
 def _grouped_bound_cases(
@@ -745,9 +699,7 @@ def _fail_rate_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundC
     left_bound = mpmath.mpf(4) / 3 * mpmath.exp(-gap_arg)
     gap_bound = left_bound * amp
 
-    p_left = max(model.p_left(-1), model.p_left(+1))
-    p_gap = max(model.p_gap(-1), model.p_gap(+1))
-    p_xleft = min(model.p_xleft(-1), model.p_xleft(+1))
+    p_left, p_gap, p_xleft = model.fail_probs()
     p0_worst = min(model.p0_tilde(-1), model.p0_tilde(+1))
     p_zero = mpmath.exp(M0 * mpmath.log1p(-p_xleft))
     zero_bound = mpmath.exp(-3 * eta_mp * M0 / 16)
@@ -868,10 +820,7 @@ def _mc_case(plan: PlanParams, mu_center: float, rounds: int, seed: int) -> Boun
         if abs(mean - mu_center) > 2 * plan.K:
             failures += 1
     with mpmath.workdps(_DPS):
-        model = _TwoStateModel(plan, mu_center)
-        p_left = max(model.p_left(-1), model.p_left(+1))
-        p_gap = max(model.p_gap(-1), model.p_gap(+1))
-        p_xleft = min(model.p_xleft(-1), model.p_xleft(+1))
+        p_left, _, p_xleft = _TwoStateModel(plan, mu_center).fail_probs()
         analytic = 1 - (
             (1 - p_left) ** plan.M0 - (1 - p_left - p_xleft) ** plan.M0
         )
@@ -907,7 +856,10 @@ def run_default_grid(
 
     Monte Carlo rounds run only on the eta sweep at the middle gap with
     the loosest budget, where a failure would be cheapest to see.
+    ``mc_rounds`` must be at least 1.
     """
+    if mc_rounds < 1:
+        raise ValueError(f"mc_rounds must be at least 1, got {mc_rounds!r}")
     cases: list[BoundCase] = []
     plans: list[PlanParams] = []
     for eta in etas:

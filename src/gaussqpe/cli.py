@@ -88,6 +88,22 @@ def _strict_int(value: Any, name: str) -> int:
     return value
 
 
+def _strict_float(value: Any, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _qpe_targets(config: dict[str, Any]) -> tuple[float, float]:
+    node = config.get("qpe")
+    if node is None:
+        raise ValueError("config is missing the 'qpe' section")
+    return (
+        _strict_float(node["epsilon"], "qpe.epsilon"),
+        _strict_float(node["delta"], "qpe.delta"),
+    )
+
+
 def _load_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
@@ -155,9 +171,7 @@ def _cmd_plan(args, config) -> int:
     with open(os.path.join(args.out, "plan.txt"), "w") as fh:
         fh.write(plan_to_text(plans[0]))
     if "qpe" in config:
-        baseline = plan_qpe_baseline(
-            config["qpe"]["epsilon"], config["qpe"]["delta"]
-        )
+        baseline = plan_qpe_baseline(*_qpe_targets(config))
         with open(os.path.join(args.out, "plan.txt"), "a") as fh:
             fh.write(plan_to_text(baseline))
     for plan in plans:
@@ -283,11 +297,7 @@ def _cmd_qpe(args, config) -> int:
     # configured spectrum; overlaps are ignored here.
     ground = _spectrum_from_config(config).ground_phase
     spec = SpectrumSpec(eigenphases=(ground,), overlaps_sq=(1.0,))
-    qpe_node = config.get("qpe")
-    if qpe_node is None:
-        raise ValueError("config is missing the 'qpe' section")
-    epsilon = float(qpe_node["epsilon"])
-    delta = float(qpe_node["delta"])
+    epsilon, delta = _qpe_targets(config)
     baseline = plan_qpe_baseline(epsilon, delta)
     master = np.random.SeedSequence(args.seed)
     children = master.spawn(args.runs)
@@ -339,18 +349,25 @@ def _cmd_bounds(args, config) -> int:
     mc = node.get("mc", True)
     if not isinstance(mc, bool):
         raise ValueError(f"bounds.mc must be true or false, got {mc!r}")
+    mc_rounds = _strict_int(node.get("mc_rounds", 2000), "bounds.mc_rounds")
+    if mc_rounds < 1:
+        raise ValueError(f"bounds.mc_rounds must be at least 1, got {mc_rounds}")
+
+    def floats(key: str, default: Sequence[float]) -> tuple[float, ...]:
+        return tuple(_strict_float(x, f"bounds.{key} entry") for x in node.get(key, default))
+
     report = bounds_lab.run_default_grid(
-        etas=tuple(node.get("etas", bounds_lab.DEFAULT_ETAS)),
-        deltas=tuple(node.get("deltas", bounds_lab.DEFAULT_DELTAS)),
-        gaps=tuple(node.get("gaps", bounds_lab.DEFAULT_GAPS)),
+        etas=floats("etas", bounds_lab.DEFAULT_ETAS),
+        deltas=floats("deltas", bounds_lab.DEFAULT_DELTAS),
+        gaps=floats("gaps", bounds_lab.DEFAULT_GAPS),
         orders=tuple(
             _strict_int(m, "bounds.orders entry")
             for m in node.get("orders", bounds_lab.DEFAULT_ORDERS)
         ),
-        mu_centers=tuple(node.get("mu_centers", bounds_lab.DEFAULT_MU_CENTERS)),
-        eps_rel=float(node.get("eps_rel", bounds_lab.DEFAULT_EPS_REL)),
+        mu_centers=floats("mu_centers", bounds_lab.DEFAULT_MU_CENTERS),
+        eps_rel=_strict_float(node.get("eps_rel", bounds_lab.DEFAULT_EPS_REL), "bounds.eps_rel"),
         mc=mc,
-        mc_rounds=_strict_int(node.get("mc_rounds", 2000), "bounds.mc_rounds"),
+        mc_rounds=mc_rounds,
     )
     rows = []
     for row in report.to_rows():
@@ -406,11 +423,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.alpha_list is not None:
             alphas = [float(tok) for tok in args.alpha_list.split(",") if tok.strip()]
         elif "alpha_list" in config:
-            alphas = [float(a) for a in config["alpha_list"]]
+            alphas = [_strict_float(a, "alpha_list entry") for a in config["alpha_list"]]
         elif args.mode == "sweep":
             alphas = list(_DEFAULT_ALPHAS)
         else:
-            alphas = [float(config.get("inputs", {}).get("alpha", 0.0))]
+            alphas = [_strict_float(config.get("inputs", {}).get("alpha", 0.0), "inputs.alpha")]
         args.alpha_values = alphas
 
         os.makedirs(args.out, exist_ok=True)

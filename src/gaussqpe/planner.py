@@ -24,6 +24,7 @@ sits near exp(-700), at the edge of (or beyond) float64 range.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -87,8 +88,14 @@ def compute_C_eta(eta: float) -> float:
     )
 
 
+def _check_real(value: float, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_eta(eta: float) -> None:
-    if not (isinstance(eta, (int, float)) and 0.0 < eta <= 1.0):
+    _check_real(eta, "eta")
+    if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
 
@@ -145,6 +152,8 @@ class PlanInputs:
     c: float = DEFAULT_INTERP_COEFF
 
     def __post_init__(self) -> None:
+        for name in ("delta_fail", "eta", "Delta_true", "epsilon", "alpha", "c"):
+            _check_real(getattr(self, name), name)
         if not (0.0 < self.delta_fail < 1.0):
             raise ValueError(f"delta_fail must lie in (0, 1), got {self.delta_fail!r}")
         _check_eta(self.eta)

@@ -273,14 +273,12 @@ class OutcomeDistribution:
 
 
 def mixed_distribution(
-    spec: SpectrumSpec,
-    plan: PlanParams | GseePlan,
-    validate: bool = True,
+    spec: SpectrumSpec, plan: PlanParams | GseePlan
 ) -> OutcomeDistribution:
-    """Build the outcome distribution of one sampling round."""
+    """Build the outcome distribution of one sampling round; raises
+    ``SpectrumPlanMismatch`` unless ``spec`` fits the plan."""
     round_plan = plan.round_plan if isinstance(plan, GseePlan) else plan
-    if validate:
-        spec.validate_for_plan(round_plan)
+    spec.validate_for_plan(round_plan)
     window = gaussian_window(round_plan.q, round_plan.sigma_tilde)
     per = np.stack(
         [distribution_from_window(window, theta) for theta in spec.eigenphases]

@@ -6,6 +6,7 @@ series written independently of the module's summation strategy, and
 check the reporting layer's bookkeeping.
 """
 
+import dataclasses
 import json
 import math
 
@@ -140,14 +141,92 @@ def test_window_functional_inequality_on_random_vectors(plan, rng):
 def test_window_vector_terms_shape_and_scale(plan):
     with mpmath.workdps(45):
         model = bounds._TwoStateModel(plan, 0.0)
-        l1, moments = model.window_vector_terms(+1, 2)
-        # The perturbed window deviates from the ideal one, so the l1
-        # radius is positive but small compared to the unit mass scale.
-        assert l1 >= 0
-        assert l1 < mpmath.mpf("0.5")
-        assert len(moments) == 3
-        for j in (0, 1, 2):
-            assert abs(moments[j]) <= (2 * model.K + 1) ** j * l1
+        terms = model.window_vector_terms(2)
+        assert sorted(terms) == [-1, +1]
+        for l1, moments in terms.values():
+            # The perturbed window deviates from the ideal one, so the l1
+            # radius is positive but small compared to the unit mass scale.
+            assert l1 >= 0
+            assert l1 < mpmath.mpf("0.5")
+            assert len(moments) == 3
+            for j in (0, 1, 2):
+                assert abs(moments[j]) <= (2 * model.K + 1) ** j * l1
+
+
+@pytest.mark.parametrize("K, gap_bins", [(None, None), (10, 24)])
+def test_window_terms_and_fail_probs_against_direct_series(plan, K, gap_bins):
+    """Per-sign window perturbation and region probabilities, rebuilt
+    from bin amplitudes with plain fsum series over explicit bin ranges.
+
+    The planned model keeps tails and cross terms far below 45 digits;
+    the squeezed one (window of 10 bins, states 24 bins apart) makes every
+    term, and so each sign, visible at that precision."""
+    if K is not None:
+        plan = dataclasses.replace(plan, K=K, Delta_work=gap_bins / plan.n_bins)
+    tol = mpmath.mpf("1e-35")
+    with mpmath.workdps(45):
+        model = bounds._TwoStateModel(plan, 0.25)
+        sigma, K = mpmath.mpf(plan.sigma_bins), plan.K
+        mu = mpmath.mpf(0.25)
+        ND = mpmath.mpf(plan.Delta_work) * plan.n_bins
+        mu1 = mu + ND
+        span = int(mpmath.ceil(60 * sigma))
+
+        def gauss(n, centre):
+            return mpmath.exp(-((n - centre) ** 2) / (2 * sigma**2)) / (
+                sigma * mpmath.sqrt(2 * mpmath.pi)
+            )
+
+        # Window: d_n = |h_n|^2 / sum|h|^2 - g_n / sum g, with h = f + e the
+        # polluted amplitude; written via p = |h|^2 - g to avoid cancelling.
+        window = range(-K, K + 1)
+        g = {n: gauss(n, mu) for n in window}
+        e = {n: model.c_mix * mpmath.sqrt(gauss(n, mu1)) for n in window}
+        terms = model.window_vector_terms(2)
+        for s in (-1, +1):
+            p = {n: 2 * s * mpmath.sqrt(g[n]) * e[n] + e[n] ** 2 for n in window}
+            F, P = mpmath.fsum(g.values()), mpmath.fsum(p.values())
+            d = {n: (p[n] * F - g[n] * P) / (F * (F + P)) for n in window}
+            l1, moments = terms[s]
+            ref_l1 = mpmath.fsum(abs(v) for v in d.values())
+            assert abs(l1 - ref_l1) <= ref_l1 * tol
+            for j in (0, 1, 2):
+                ref = mpmath.fsum(n**j * d[n] for n in window)
+                scale = mpmath.fsum(abs(n**j * d[n]) for n in window)
+                assert abs(moments[j] - ref) <= scale * tol
+
+        # Regions of one draw from the coherent mixture, normalized over
+        # the whole lattice; register normalizations over the peaks.
+        half = plan.n_bins // 2
+        lo0, hi0 = int(mu) - span, int(mu) + span
+        lo1, hi1 = max(int(mu1) - span, -half), min(int(mu1) + span, half - 1)
+        N0 = mpmath.fsum(gauss(n, mu) for n in range(lo0, hi0 + 1))
+        N1 = mpmath.fsum(gauss(n, mu1) for n in range(lo1, hi1 + 1))
+        a0 = mpmath.sqrt(model.eta / N0)
+        a1 = mpmath.sqrt((1 - model.eta) / N1)
+        cross = mpmath.fsum(
+            mpmath.sqrt(gauss(n, mu) * gauss(n, mu1)) for n in range(lo0, hi1 + 1)
+        )
+
+        def region(s, ns):
+            mass = mpmath.fsum(
+                (a0 * mpmath.sqrt(gauss(n, mu)) + s * a1 * mpmath.sqrt(gauss(n, mu1))) ** 2
+                for n in ns
+            )
+            return mass / (1 + 2 * s * a0 * a1 * cross)
+
+        left_edge = int(mpmath.floor(mu - ND / 3)) - 1
+        left = range(left_edge - span, left_edge + 1)
+        gap = range(int(mpmath.ceil(mu + ND / 3)), int(mpmath.floor(mu + 2 * ND / 3)) + 1)
+        xleft = range(-K, 1)
+        expected = (
+            max(region(s, left) for s in (-1, +1)),
+            max(region(s, gap) for s in (-1, +1)),
+            min(region(s, xleft) for s in (-1, +1)),
+        )
+        for got, ref in zip(model.fail_probs(), expected):
+            assert ref > 0
+            assert abs(got - ref) <= ref * tol
 
 
 def test_mc_case_sees_no_failures(plan):

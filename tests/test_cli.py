@@ -13,6 +13,7 @@ from gaussqpe.bounds import (
     DEFAULT_GAPS,
     DEFAULT_MU_CENTERS,
     DEFAULT_ORDERS,
+    run_default_grid,
 )
 from gaussqpe.cli import main
 
@@ -166,6 +167,13 @@ def test_bounds_mode_reduced_grid(tmp_path):
         ("bounds", "bounds", "mc", "false", "bounds.mc must be true or false"),
         ("bounds", "bounds", "orders", [1.0], "bounds.orders entry must be an integer"),
         ("bounds", "bounds", "mc_rounds", 20.5, "bounds.mc_rounds must be an integer"),
+        ("plan", None, "alpha_list", ["0.5"], "alpha_list entry must be a number"),
+        ("plan", None, "alpha_list", [True], "alpha_list entry must be a number"),
+        ("plan", "inputs", "alpha", "0.5", "inputs.alpha must be a number"),
+        ("plan", "inputs", "eta", True, "eta must be a real number"),
+        ("bounds", "bounds", "mu_centers", ["0.25"], "bounds.mu_centers entry must be a number"),
+        ("bounds", "bounds", "eps_rel", "0.001", "bounds.eps_rel must be a number"),
+        ("qpe", "qpe", "epsilon", "0.01", "qpe.epsilon must be a number"),
     ],
 )
 def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, value, message):
@@ -175,6 +183,18 @@ def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, val
     rc, _ = run(tmp_path, ["--mode", mode], config=config)
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+def test_mc_rounds_below_one_is_named_error(tmp_path, capsys):
+    grid = {"etas": [0.5], "deltas": [0.01], "gaps": [0.1], "orders": [1], "mu_centers": [0.0]}
+    with pytest.raises(ValueError, match="mc_rounds must be at least 1"):
+        run_default_grid(**grid, mc_rounds=0)
+    rc, out = run(tmp_path, ["--mode", "bounds"], config={"bounds": {**grid, "mc_rounds": 0}})
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "bounds.mc_rounds must be at least 1" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "bounds.csv"))
 
 
 def test_gsee_thread_count_does_not_change_bytes(tmp_path):

@@ -237,12 +237,10 @@ class TestMixedDistribution:
         mass = float(dist.mixed[idx].sum())
         assert mass >= 0.375 * round_plan.eta
 
-    def test_validation_can_be_disabled(self, acceptance_plan):
+    def test_mixed_distribution_rejects_mismatch(self, acceptance_plan):
         bad = SpectrumSpec(eigenphases=(-0.2, -0.19), overlaps_sq=(0.6, 0.4))
         with pytest.raises(SpectrumPlanMismatch):
             mixed_distribution(bad, acceptance_plan)
-        dist = mixed_distribution(bad, acceptance_plan, validate=False)
-        assert dist.mixed.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestSampleStream:
