@@ -29,6 +29,7 @@ from .planner import (
 )
 from .simulator import (
     DenseHamiltonian,
+    DistributionTooLarge,
     OutcomeDistribution,
     SampleStream,
     SpectrumPlanMismatch,
@@ -58,6 +59,7 @@ __all__ = [
     "plan_qpe_baseline",
     "SpectrumSpec",
     "SpectrumPlanMismatch",
+    "DistributionTooLarge",
     "DenseHamiltonian",
     "eigendecompose",
     "gaussian_window",

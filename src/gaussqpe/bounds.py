@@ -777,11 +777,23 @@ def _q_requirement_case(plan: PlanParams) -> list[BoundCase]:
     return [case, consistency]
 
 
+def _check_mu_centers(mu_centers: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless every center is finite and in [-1/2, 1/2),
+    the central bin the two-state model assumes."""
+    for mu_center in mu_centers:
+        if not (math.isfinite(mu_center) and -0.5 <= mu_center < 0.5):
+            raise ValueError(
+                f"mu_centers entries must be finite and in [-1/2, 1/2), got {mu_center!r}"
+            )
+
+
 def evaluate_plan_cases(
     plan: PlanParams,
     mu_centers: Sequence[float] = DEFAULT_MU_CENTERS,
 ) -> list[BoundCase]:
-    """All bound cases for one plan across a panel of wrapped centers."""
+    """All bound cases for one plan across a panel of wrapped centers,
+    each in [-1/2, 1/2)."""
+    _check_mu_centers(mu_centers)
     cases: list[BoundCase] = []
     with mpmath.workdps(_DPS):
         cases.extend(_q_requirement_case(plan))
@@ -856,10 +868,11 @@ def run_default_grid(
 
     Monte Carlo rounds run only on the eta sweep at the middle gap with
     the loosest budget, where a failure would be cheapest to see.
-    ``mc_rounds`` must be at least 1.
+    ``mc_rounds`` must be at least 1 and every center in [-1/2, 1/2).
     """
     if mc_rounds < 1:
         raise ValueError(f"mc_rounds must be at least 1, got {mc_rounds!r}")
+    _check_mu_centers(mu_centers)
     cases: list[BoundCase] = []
     plans: list[PlanParams] = []
     for eta in etas:

@@ -7,8 +7,9 @@ seed: per-run generators are spawned from it by run index, so results
 are byte-identical for a given (config, seed, runs), independent of
 thread count.
 
-Exit codes: 0 success, 1 bad input or schema, 2 infeasible plan or
-spectrum mismatch, 3 bound violation in the laboratory grid.
+Exit codes: 0 success, 1 bad input or schema, 2 infeasible plan,
+spectrum mismatch or a distribution too large to build, 3 bound
+violation in the laboratory grid.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .planner import (
 )
 from .simulator import (
     DenseHamiltonian,
+    DistributionTooLarge,
     SpectrumPlanMismatch,
     SpectrumSpec,
     eigendecompose,
@@ -451,6 +453,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SpectrumPlanMismatch as exc:
         print(f"spectrum mismatch: {exc}", file=sys.stderr)
+        return 2
+    except DistributionTooLarge as exc:
+        print(f"distribution too large: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian
 from .planner import (
     GseePlan,
     PlanInputs,
@@ -101,8 +100,13 @@ class QpeEstimate:
 
 
 def _residues(outcomes: np.ndarray, q: int) -> np.ndarray:
-    """Signed int64 residues of register outcomes on the 2**q lattice."""
-    return gaussian.wrap_mod(outcomes, 0.0, q).astype(np.int64)
+    """Signed int64 residues of register outcomes on the 2**q lattice.
+
+    ``outcomes`` must be integers in [0, 2**q). The result equals
+    ``gaussian.wrap_mod(outcomes, 0, q)``: bins above 2**(q-1) wrap down
+    by 2**q, and the tie bin 2**(q-1) stays at +2**(q-1).
+    """
+    return outcomes - (1 << q) * (outcomes > (1 << (q - 1)))
 
 
 def _window_rounds(residues: np.ndarray, two_K: int, dark_bins: int):
@@ -124,10 +128,15 @@ def _window_rounds(residues: np.ndarray, two_K: int, dark_bins: int):
 
 def basket_from_outcomes(outcomes: np.ndarray, plan: PlanParams) -> Basket:
     """Wrap raw register outcomes and anchor the window on the leftmost
-    residue."""
+    residue. Outcomes must be integers in [0, 2**q)."""
     outcomes = np.asarray(outcomes)
     if outcomes.ndim != 1 or outcomes.size == 0:
         raise ValueError("outcomes must be a nonempty 1-d array")
+    if not np.issubdtype(outcomes.dtype, np.integer):
+        raise ValueError(f"outcomes must be integers, got dtype {outcomes.dtype}")
+    if outcomes.min() < 0 or outcomes.max() >= plan.n_bins:
+        raise ValueError(f"outcomes must lie in [0, {plan.n_bins})")
+    outcomes = outcomes.astype(np.int64, copy=False)
     residues = _residues(outcomes, plan.q)
     anchors, mask, _, _, n_dark = _window_rounds(
         residues[np.newaxis, :], plan.two_K, plan.dark_bins

@@ -14,9 +14,14 @@ Everything in this module is float64, so the probabilities are accurate
 in absolute terms only: each bin is off by at most about 1e-16 times the
 peak probability. Far tails are not resolved; there the computed values
 sit on a rounding floor near 1e-31 where the analytic tail is near 1e-91.
-Sampling uses inverse-CDF lookups against a counter-based generator so
-that identical seeds reproduce identical byte streams regardless of draw
-batching.
+
+Sampling inverts the CDF of uniforms from a counter-based generator, so
+identical seeds reproduce identical byte streams regardless of draw
+batching. The inversion is a guide table (Chen & Asau 1974; Devroye 1986,
+section III.2): the unit interval is cut into 2**16 equal buckets, and a
+bucket whose two edges fall into the same bin maps straight to it; only
+uniforms in the few buckets that straddle a CDF step are searched. Every
+draw is bit-identical to ``np.searchsorted(cdf, u, side="right")``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .planner import GseePlan, PlanParams
 __all__ = [
     "SpectrumSpec",
     "SpectrumPlanMismatch",
+    "DistributionTooLarge",
     "DenseHamiltonian",
     "eigendecompose",
     "gaussian_window",
@@ -48,10 +54,20 @@ _SUM_TOL = 1e-12
 _HERMITICITY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _MAX_DENSE_DIM = 64
+# Largest distribution mixed_distribution builds, counted as one complex128
+# FFT array per eigenphase (J * 2**q * 16 bytes).
+_MAX_DISTRIBUTION_BYTES = 2 << 30
+# Guide-table buckets. A power of two, so u * _GUIDE_BUCKETS is exact for
+# every double u and its integer part is the bucket u lies in.
+_GUIDE_BUCKETS = 1 << 16
 
 
 class SpectrumPlanMismatch(ValueError):
     """Spectrum violates an assumption the plan was sized under."""
+
+
+class DistributionTooLarge(ValueError):
+    """The plan's register is too large to hold its distribution in memory."""
 
 
 @dataclass(frozen=True)
@@ -276,9 +292,17 @@ def mixed_distribution(
     spec: SpectrumSpec, plan: PlanParams | GseePlan
 ) -> OutcomeDistribution:
     """Build the outcome distribution of one sampling round; raises
-    ``SpectrumPlanMismatch`` unless ``spec`` fits the plan."""
+    ``SpectrumPlanMismatch`` unless ``spec`` fits the plan, and
+    ``DistributionTooLarge`` before allocating when its J * 2**q complex128
+    FFT arrays would exceed 2 GiB."""
     round_plan = plan.round_plan if isinstance(plan, GseePlan) else plan
     spec.validate_for_plan(round_plan)
+    n_bytes = spec.J * (1 << round_plan.q) * np.dtype(np.complex128).itemsize
+    if n_bytes > _MAX_DISTRIBUTION_BYTES:
+        raise DistributionTooLarge(
+            f"{spec.J} eigenphases on 2**{round_plan.q} bins need {n_bytes} bytes "
+            f"of complex128, above the {_MAX_DISTRIBUTION_BYTES}-byte limit"
+        )
     window = gaussian_window(round_plan.q, round_plan.sigma_tilde)
     per = np.stack(
         [distribution_from_window(window, theta) for theta in spec.eigenphases]
@@ -300,8 +324,9 @@ def mixed_distribution(
 
 
 class SampleStream:
-    """Deterministic bin sampler: inverse-CDF lookups against a private
-    counter-based generator, so draw batching never changes the stream."""
+    """Deterministic bin sampler: guide-table inverse-CDF lookups against a
+    private counter-based generator, so draw batching never changes the
+    stream."""
 
     def __init__(
         self,
@@ -319,14 +344,29 @@ class SampleStream:
                 raise ValueError("probabilities must have positive total mass")
             cdf = cdf / cdf[-1]
         self._cdf = cdf
+        # The bin of every u in bucket j lies between the bins of its edges
+        # j/B and (j+1)/B; where those agree the bucket resolves to it,
+        # otherwise it is marked -1 and searched.
+        edges = np.searchsorted(
+            cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="right"
+        ).astype(np.int64, copy=False)
+        guide = edges[:-1]
+        guide[guide != edges[1:]] = -1
+        self._guide = guide
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         self._rng = np.random.Generator(np.random.Philox(seed))
+
+    def _bins(self, u: np.ndarray) -> np.ndarray:
+        """Map uniforms in [0, 1) to int64 bins, equal bin for bin to
+        ``np.searchsorted(cdf, u, side="right")``."""
+        bins = self._guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+        miss = bins < 0
+        bins[miss] = np.searchsorted(self._cdf, u[miss], side="right")
+        return bins
 
     def draw(self, n: int) -> np.ndarray:
         """Draw ``n`` outcome bins as int64 values in [0, N)."""
         if not (isinstance(n, int) and n >= 0):
             raise ValueError(f"draw count must be a nonnegative integer, got {n!r}")
-        u = self._rng.random(n)
-        return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
-
+        return self._bins(self._rng.random(n))

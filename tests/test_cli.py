@@ -4,18 +4,22 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
 from gaussqpe.bounds import (
     DEFAULT_DELTAS,
+    DEFAULT_EPS_REL,
     DEFAULT_ETAS,
     DEFAULT_GAPS,
     DEFAULT_MU_CENTERS,
     DEFAULT_ORDERS,
+    evaluate_plan_cases,
     run_default_grid,
 )
 from gaussqpe.cli import main
+from gaussqpe.planner import plan_sampling_round
 
 BASE_CONFIG = {
     "inputs": {
@@ -44,6 +48,11 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def run(tmp_path, argv_extra, config=BASE_CONFIG, sub="out"):
     cfg = write_config(tmp_path, config)
     out = str(tmp_path / sub)
@@ -59,9 +68,9 @@ def test_plan_mode_writes_tables(tmp_path, capsys):
     assert [float(r["alpha"]) for r in rows] == [0.0, 0.5, 1.0]
     qs = [int(r["round_plan.q"]) for r in rows]
     assert qs == sorted(qs)
-    text = open(os.path.join(out, "plan.txt")).read()
+    text = Path(out, "plan.txt").read_text()
     assert "q" in text and "M0" in text
-    echo = json.load(open(os.path.join(out, "config-echo.json")))
+    echo = read_json(os.path.join(out, "config-echo.json"))
     assert echo["mode"] == "plan"
     assert echo["alpha_list"] == [0.0, 0.5, 1.0]
     assert "alpha=1" in capsys.readouterr().out
@@ -96,7 +105,7 @@ def test_gsee_mode_estimates_and_summary(tmp_path):
     ]
     for row in rows:
         assert abs(float(row["err"])) <= 0.01
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["mode"] == "gsee"
     assert summary["alphas"]["0"]["failures"] == 0
 
@@ -106,7 +115,7 @@ def test_sweep_mode_covers_alpha_grid(tmp_path):
     assert rc == 0
     rows = read_csv(os.path.join(out, "estimates.csv"))
     assert [float(r["alpha"]) for r in rows] == [0.0, 0.5, 1.0]
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["mode"] == "sweep"
     assert set(summary["alphas"]) == {"0", "0.5", "1"}
 
@@ -117,7 +126,7 @@ def test_qpe_mode_baseline(tmp_path):
     rows = read_csv(os.path.join(out, "estimates.csv"))
     assert len(rows) == 20
     assert {r["success"] for r in rows} <= {"True", "False"}
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["runs"] == 20
     assert summary["failures"] <= 1
 
@@ -139,7 +148,7 @@ def test_bounds_mode_reduced_grid(tmp_path):
     params = [json.loads(row["params"]) for row in rows]
     assert {p["plan"] for p in params} == {"eta0.5_delta0.01_gap0.1_m1"}
     assert {p["mu_center"] for p in params if "mu_center" in p} == {0.0}
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["n_violations"] == 0
     assert "mc_round_failure" not in summary["kinds"]
     # The default grid has at least one case per (plan, center) pair.
@@ -197,6 +206,34 @@ def test_mc_rounds_below_one_is_named_error(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "bounds.csv"))
 
 
+@pytest.mark.parametrize("center", [float("nan"), 3.0, 0.5, -0.75])
+def test_mu_centers_outside_central_bin_are_named_error(tmp_path, capsys, center):
+    grid = {"etas": [0.5], "deltas": [0.01], "gaps": [0.1], "orders": [1]}
+    message = r"mu_centers entries must be finite and in \[-1/2, 1/2\)"
+    plan = plan_sampling_round(0.01, 0.5, 0.1, 1, DEFAULT_EPS_REL)
+    with pytest.raises(ValueError, match=message):
+        evaluate_plan_cases(plan, (0.0, center))
+    with pytest.raises(ValueError, match=message):
+        run_default_grid(**grid, mu_centers=(center,), mc=False)
+    config = {"bounds": {**grid, "mu_centers": [center], "mc": False}}
+    rc, out = run(tmp_path, ["--mode", "bounds"], config=config)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "mu_centers entries must be finite" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+
+
+def test_oversized_distribution_exits_two(tmp_path, capsys):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["inputs"].update(alpha=1.0, epsilon=1e-6)
+    rc, out = run(tmp_path, ["--mode", "spectrum"], config=config)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "distribution too large" in err and "2**30 bins" in err
+    assert not os.path.exists(os.path.join(out, "spectrum.csv"))
+
+
 def test_gsee_thread_count_does_not_change_bytes(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     outs = []
@@ -221,8 +258,8 @@ def test_gsee_thread_count_does_not_change_bytes(tmp_path):
         assert rc == 0
         outs.append(out)
     for name in ("estimates.csv", "plans.csv", "summary.json"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         assert a == b, name
 
 

@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from gaussqpe.gaussian import wrap_mod
 from gaussqpe.estimation import (
+    _residues,
     basket_from_outcomes,
     moment_from_basket,
     run_gsee,
@@ -70,6 +72,30 @@ def test_basket_window_and_dark_segment(round_plan):
 def test_basket_rejects_empty(round_plan):
     with pytest.raises(ValueError):
         basket_from_outcomes(np.array([]), round_plan)
+
+
+@pytest.mark.parametrize("q", range(1, 17))
+def test_residues_match_wrap_mod_on_every_bin(q):
+    bins = np.arange(1 << q, dtype=np.int64)
+    residues = _residues(bins, q)
+    assert residues.dtype == np.int64
+    np.testing.assert_array_equal(residues, wrap_mod(bins, 0.0, q).astype(np.int64))
+    assert residues[1 << (q - 1)] == 1 << (q - 1)
+
+
+def test_basket_rejects_non_integer_and_out_of_range_outcomes(round_plan):
+    n = round_plan.n_bins
+    with pytest.raises(ValueError, match="integers"):
+        basket_from_outcomes(np.array([100.7, 102.0]), round_plan)
+    with pytest.raises(ValueError, match="integers"):
+        basket_from_outcomes(np.array([100.0, 102.0]), round_plan)
+    with pytest.raises(ValueError, match="integers"):
+        basket_from_outcomes(np.array([True, False]), round_plan)
+    for bad in (-1, n, n + 7):
+        with pytest.raises(ValueError, match=r"lie in \[0, "):
+            basket_from_outcomes(np.array([100, bad]), round_plan)
+    edge = basket_from_outcomes(np.array([0, n - 1], dtype=np.uint32), round_plan)
+    assert edge.anchor == -1
 
 
 def test_moment_from_basket(round_plan):

@@ -6,15 +6,17 @@ through exact distributional symmetries.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaussqpe import gaussian
-from gaussqpe.planner import plan_sampling_round
+from gaussqpe.planner import plan_gsee, plan_sampling_round
 from gaussqpe.simulator import (
     DenseHamiltonian,
+    DistributionTooLarge,
     SampleStream,
     SpectrumPlanMismatch,
     SpectrumSpec,
@@ -237,6 +239,14 @@ class TestMixedDistribution:
         mass = float(dist.mixed[idx].sum())
         assert mass >= 0.375 * round_plan.eta
 
+    def test_oversized_register_is_refused_before_allocating(
+        self, acceptance_spectrum, acceptance_inputs
+    ):
+        plan = plan_gsee(replace(acceptance_inputs, alpha=1.0, epsilon=1e-6))
+        assert plan.round_plan.q == 30
+        with pytest.raises(DistributionTooLarge, match="2\\*\\*30 bins"):
+            mixed_distribution(acceptance_spectrum, plan)
+
     def test_mixed_distribution_rejects_mismatch(self, acceptance_plan):
         bad = SpectrumSpec(eigenphases=(-0.2, -0.19), overlaps_sq=(0.6, 0.4))
         with pytest.raises(SpectrumPlanMismatch):
@@ -269,6 +279,68 @@ class TestSampleStream:
         for k in range(4):
             sd = math.sqrt(n * probs[k] * (1.0 - probs[k]))
             assert abs(counts[k] - n * probs[k]) < 4.0 * sd
+
+    def test_guide_table_matches_search_on_acceptance_draws(
+        self, acceptance_spectrum, acceptance_plan
+    ):
+        dist = mixed_distribution(acceptance_spectrum, acceptance_plan)
+        stream = SampleStream(dist, 5)
+        u = np.random.Generator(np.random.Philox(np.random.SeedSequence(5))).random(
+            1_000_000
+        )
+        expected = np.searchsorted(dist.cdf, u, side="right")
+        np.testing.assert_array_equal(stream._bins(u), expected)
+        np.testing.assert_array_equal(stream.draw(u.size), expected)
+        # The fallback search must have run on some of these draws.
+        ambiguous = stream._guide < 0
+        assert 0 < ambiguous.sum() < 1000
+        assert np.any(ambiguous[(u * 2**16).astype(np.intp)])
+
+    def test_guide_table_matches_search_on_large_register(self):
+        q = 20
+        window = gaussian_window(q, 2.8 / (1 << q))
+        probs = 0.7 * distribution_from_window(window, -0.3) + 0.3 * (
+            distribution_from_window(window, 0.2)
+        )
+        stream = SampleStream(probs, 17)
+        u = np.random.Generator(np.random.Philox(np.random.SeedSequence(17))).random(
+            200_000
+        )
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        np.testing.assert_array_equal(
+            stream._bins(u), np.searchsorted(cdf, u, side="right")
+        )
+
+    def test_guide_table_on_bucket_edges(self):
+        stream = SampleStream(np.array([0.5, 0.25, 0.125, 0.125]), 0)
+        edges = np.array([0.5, 0.75, 0.875])
+        u = np.concatenate(
+            [edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]]
+        )
+        bins = stream._bins(u)
+        np.testing.assert_array_equal(bins, [1, 2, 3, 0, 1, 2, 0, 3])
+        np.testing.assert_array_equal(
+            bins, np.searchsorted(np.array([0.5, 0.75, 0.875, 1.0]), u, side="right")
+        )
+        assert bins.dtype == np.int64
+
+    def test_guide_table_skips_zero_probability_bins(self):
+        probs = np.array([0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0])
+        stream = SampleStream(probs, 3)
+        cdf = np.cumsum(probs)
+        steps = cdf[cdf < 1.0]
+        u = np.concatenate(
+            [
+                steps,
+                np.nextafter(steps, 0.0),
+                [0.0, np.nextafter(1.0, 0.0)],
+                np.random.Generator(np.random.Philox(3)).random(100_000),
+            ]
+        )
+        bins = stream._bins(u)
+        np.testing.assert_array_equal(bins, np.searchsorted(cdf, u, side="right"))
+        assert set(np.unique(bins).tolist()) == {0, 3, 5}
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
