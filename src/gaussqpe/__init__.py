@@ -14,7 +14,7 @@ from .estimation import (
     run_qpe_baseline,
     run_sampling_round,
 )
-from .gaussian import GaussianParams, g0, normalization_N, tail_mass, wrap_mod
+from .gaussian import GaussianParams, g0, normalization_N, wrap_mod
 from .planner import (
     GseePlan,
     PlanInfeasible,
@@ -47,7 +47,6 @@ __all__ = [
     "g0",
     "wrap_mod",
     "normalization_N",
-    "tail_mass",
     "PlanInputs",
     "PlanParams",
     "GseePlan",

@@ -9,10 +9,11 @@ are evaluated and the adverse one reported).
 
 The interesting margins live at scales like exp(-150) down to
 exp(-3000), far below float64. All model quantities are therefore
-assembled from "tiny" series in mpmath: lattice sums enter through
-their duals (exact closed-form terms summed until they stop mattering
-at the working precision), tails and cross terms through edge-anchored
-loops, and no path ever forms 1 + tiny and subtracts 1 back out.
+assembled, at 60 significant digits, from the "tiny" mpmath series of
+``gaussian``: lattice sums enter through their duals (exact closed-form
+terms summed until they stop mattering at the working precision), tails
+and cross terms through edge-anchored loops, and no path ever forms
+1 + tiny and subtracts 1 back out.
 
 Orientation convention: every case satisfies ``exact <= bound`` when it
 holds. For lower-bound cases (hit rate) the analytic lower bound goes
@@ -30,7 +31,14 @@ import mpmath
 import numpy as np
 
 from . import estimation, simulator
-from .planner import PlanParams, compute_C_eta, plan_sampling_round
+from .gaussian import dual_sums, fourier_moment, gauss_mp, outside_moments, range_moments
+from .planner import (
+    _PREDICATE_CEILING,
+    DEFAULT_INTERP_COEFF,
+    PlanParams,
+    compute_C_eta,
+    plan_sampling_round,
+)
 from .special import lambert_wm1_exp, wm1_sandwich
 
 __all__ = [
@@ -47,9 +55,6 @@ __all__ = [
 ]
 
 _DPS = 60
-_REL_CUTOFF = "1e-75"
-_LOOP_CAP = 100_000
-_EIGHTH = 0.125
 
 DEFAULT_ETAS = (0.25, 0.5, 1.0)
 DEFAULT_DELTAS = (0.01, 0.001)
@@ -58,7 +63,7 @@ DEFAULT_ORDERS = (1, 2)
 DEFAULT_MU_CENTERS = (-0.5, -0.25, 0.0, 0.25, 0.49)
 
 # Relative moment target matching the default accuracy split at eps = 0.01.
-DEFAULT_EPS_REL = (1.0 - 2.0 * math.sqrt(2.0) / 3.0) * 0.01
+DEFAULT_EPS_REL = DEFAULT_INTERP_COEFF * 0.01
 _MC_SEED = 20260814
 
 
@@ -164,108 +169,6 @@ def _case(
     )
 
 
-# ---------------------------------------------------------------------------
-# mpmath primitives
-
-
-def _gauss(x, mu, sigma) -> mpmath.mpf:
-    return mpmath.exp(-((x - mu) ** 2) / (2 * sigma**2)) / (
-        sigma * mpmath.sqrt(2 * mpmath.pi)
-    )
-
-
-def _range_moments(mu, sigma, lo, hi, m_max: int) -> list[mpmath.mpf]:
-    """Sums of n**j * g(n) for j = 0..m_max over integer n in [lo, hi].
-
-    Either bound may be None (unbounded). The loop starts at the in-range
-    integer nearest the peak and walks outward, stopping once density
-    values fall below the working-precision cutoff relative to the
-    largest seen; polynomial weights cannot outrun the Gaussian decay on
-    the scales involved here.
-    """
-    cutoff = mpmath.mpf(_REL_CUTOFF)
-    totals = [mpmath.mpf(0)] * (m_max + 1)
-    n0 = int(mpmath.nint(mu))
-    if lo is not None:
-        n0 = max(n0, int(lo))
-    if hi is not None:
-        n0 = min(n0, int(hi))
-    head = mpmath.mpf(0)
-
-    def walk(start: int, step: int, limit) -> None:
-        nonlocal head
-        n = start
-        for _ in range(_LOOP_CAP):
-            if limit is not None and (n - limit) * step > 0:
-                return
-            g = _gauss(n, mu, sigma)
-            head = max(head, g)
-            nj = mpmath.mpf(1)
-            for j in range(m_max + 1):
-                totals[j] += nj * g
-                nj *= n
-            if head > 0 and g < head * cutoff:
-                return
-            n += step
-        raise ArithmeticError("lattice sum failed to converge")
-
-    walk(n0, +1, hi)
-    walk(n0 - 1, -1, lo)
-    return totals
-
-
-def _Gmk(m: int, k: int, mu, sigma) -> mpmath.mpc:
-    """Fourier dual of the order-m moment sum at integer frequency k.
-
-    At k = 0 its real part is the continuous moment of the window.
-    """
-    s2 = sigma**2
-    g0 = mpmath.exp(
-        mpmath.mpc(-2 * mpmath.pi**2 * s2 * k * k, -2 * mpmath.pi * mu * k)
-    )
-    if m == 0:
-        return g0
-    w = mpmath.mpc(mu, -2 * mpmath.pi * s2 * k)
-    if m == 1:
-        return w * g0
-    if m == 2:
-        return (w**2 + s2) * g0
-    if m == 3:
-        return (w**3 + 3 * s2 * w) * g0
-    if m == 4:
-        return (w**4 + 6 * s2 * w**2 + 3 * s2**2) * g0
-    raise ValueError(f"moment order must be 0..4, got {m!r}")
-
-
-def _alias_sums(m: int, mu, sigma) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(signed, absolute) dual-frequency sums over k != 0.
-
-    The signed sum is the exact lattice-minus-continuous moment defect;
-    the absolute sum is its term-wise majorant.
-    """
-    cutoff = mpmath.mpf(_REL_CUTOFF)
-    signed = mpmath.mpf(0)
-    absolute = mpmath.mpf(0)
-    head = mpmath.mpf(0)
-    for k in range(1, 1001):
-        gk = _Gmk(m, k, mu, sigma)
-        gmk = _Gmk(m, -k, mu, sigma)
-        signed += (gk + gmk).real
-        gain = abs(gk) + abs(gmk)
-        absolute += gain
-        head = max(head, gain)
-        if head > 0 and gain < head * cutoff and k >= 2:
-            return signed, absolute
-    raise ArithmeticError("dual-frequency sum failed to converge")
-
-
-def _outside_moments(mu, sigma, lo: int, hi: int, m_max: int) -> list[mpmath.mpf]:
-    """Sums of n**j * g(n) for integer n outside [lo, hi], j = 0..m_max."""
-    upper = _range_moments(mu, sigma, hi + 1, None, m_max)
-    lower = _range_moments(mu, sigma, None, lo - 1, m_max)
-    return [u + l for u, l in zip(upper, lower)]
-
-
 def _geometry(j: int, K: int) -> mpmath.mpf:
     """Window-functional factor j! (2K+1)^j / (pi delta)^j e^(2 pi delta),
     delta = 1/pi: bounds |sum n^j d_n| by it times |d|_1 on the window."""
@@ -305,33 +208,35 @@ class _TwoStateModel:
         self.alias_signed = []
         self.alias_abs = []
         for j in range(m_max + 1):
-            s, a = _alias_sums(j, self.mu, self.sigma)
+            s, a = dual_sums(j, self.mu, self.sigma)
             self.alias_signed.append(s)
             self.alias_abs.append(a)
-        self.G0m = [_Gmk(j, 0, self.mu, self.sigma).real for j in range(m_max + 1)]
-        self.tail_mom = _outside_moments(self.mu, self.sigma, -self.K, self.K, m_max)
+        self.G0m = [
+            fourier_moment(j, 0, self.mu, self.sigma).real for j in range(m_max + 1)
+        ]
+        self.tail_mom = outside_moments(self.mu, self.sigma, -self.K, self.K, m_max)
         self.T = self.tail_mom[0]
         self.A = abs(self.alias_signed[0])
         # Register normalizations, as offsets from 1.
         half = self.N // 2
-        self.reg_tail0 = _outside_moments(self.mu, self.sigma, -half, half - 1, 0)[0]
+        self.reg_tail0 = outside_moments(self.mu, self.sigma, -half, half - 1, 0)[0]
         self.norm0_minus_1 = self.alias_signed[0] - self.reg_tail0
-        alias1_signed, _ = _alias_sums(0, self.mu1, self.sigma)
-        self.reg_tail1 = _outside_moments(self.mu1, self.sigma, -half, half - 1, 0)[0]
+        alias1_signed, _ = dual_sums(0, self.mu1, self.sigma)
+        self.reg_tail1 = outside_moments(self.mu1, self.sigma, -half, half - 1, 0)[0]
         self.norm1_minus_1 = alias1_signed - self.reg_tail1
         self.N0 = 1 + self.norm0_minus_1
         self.N1 = 1 + self.norm1_minus_1
 
         # Contaminant and midpoint cross moments on the window.
-        self.cont_mom = _range_moments(self.mu1, self.sigma, -self.K, self.K, m_max)
-        self.cont_mass_left = _range_moments(
+        self.cont_mom = range_moments(self.mu1, self.sigma, -self.K, self.K, m_max)
+        self.cont_mass_left = range_moments(
             self.mu - self.ND, self.sigma, -self.K, self.K, 0
         )[0]
         mubar = self.mu + self.ND / 2
         self.xfac = mpmath.exp(-(self.ND**2) / (8 * self.sigma**2))
-        mid = _range_moments(mubar, self.sigma, -self.K, self.K, m_max)
+        mid = range_moments(mubar, self.sigma, -self.K, self.K, m_max)
         self.cross_mom = [self.xfac * v for v in mid]
-        mid_alias, _ = _alias_sums(0, mubar, self.sigma)
+        mid_alias, _ = dual_sums(0, mubar, self.sigma)
         self.cross_lattice = self.xfac * (1 + mid_alias)
         self.mubar = mubar
 
@@ -345,9 +250,9 @@ class _TwoStateModel:
         self.root_inv_eta = mpmath.sqrt(1 / self.eta)
         # Shared precondition of the hit-rate and error-component bounds.
         self.eighth_trio = bool(
-            self.A <= _EIGHTH
-            and self.T <= _EIGHTH
-            and self.root_inv_eta * self.R <= _EIGHTH
+            self.A <= _PREDICATE_CEILING
+            and self.T <= _PREDICATE_CEILING
+            and self.root_inv_eta * self.R <= _PREDICATE_CEILING
         )
 
     # Polluted-vector offsets, per relative sign.
@@ -374,9 +279,9 @@ class _TwoStateModel:
         l1 = {s: mpmath.mpf(0) for s in signs}
         mom = {s: [mpmath.mpf(0)] * (m_max + 1) for s in signs}
         for n in range(-self.K, self.K + 1):
-            g = _gauss(n, self.mu, self.sigma)
+            g = gauss_mp(n, self.mu, self.sigma)
             f = mpmath.sqrt(g)
-            e = self.c_mix * mpmath.sqrt(_gauss(n, self.mu1, self.sigma))
+            e = self.c_mix * mpmath.sqrt(gauss_mp(n, self.mu1, self.sigma))
             for s in signs:
                 d = (2 * f * (s * e) + e**2 - g * poll0[s] / F0) / (1 + s0[s])
                 l1[s] += abs(d)
@@ -390,9 +295,9 @@ class _TwoStateModel:
 
     def _region_probs(self, lo, hi) -> dict[int, mpmath.mpf]:
         """Probability of one draw landing in [lo, hi], per sign."""
-        ground = _range_moments(self.mu, self.sigma, lo, hi, 0)[0]
-        cont = _range_moments(self.mu1, self.sigma, lo, hi, 0)[0]
-        mid = self.xfac * _range_moments(self.mubar, self.sigma, lo, hi, 0)[0]
+        ground = range_moments(self.mu, self.sigma, lo, hi, 0)[0]
+        cont = range_moments(self.mu1, self.sigma, lo, hi, 0)[0]
+        mid = self.xfac * range_moments(self.mubar, self.sigma, lo, hi, 0)[0]
         probs = {}
         for s in (-1, +1):
             num = (

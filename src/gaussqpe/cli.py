@@ -147,12 +147,12 @@ def _inputs_from_config(config: dict[str, Any], alpha: float | None = None) -> P
 
 
 def _echo_config(out_dir: str, args: argparse.Namespace, config: dict[str, Any]) -> None:
+    # The thread count is left out: it must not change a single output byte.
     payload = {
         "mode": args.mode,
         "seed": args.seed,
         "runs": args.runs,
         "alpha_list": args.alpha_values,
-        "threads": args.threads,
         "config": config,
     }
     _write_json(os.path.join(out_dir, "config-echo.json"), payload)
@@ -430,6 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             alphas = list(_DEFAULT_ALPHAS)
         else:
             alphas = [_strict_float(config.get("inputs", {}).get("alpha", 0.0), "inputs.alpha")]
+        if not alphas:
+            raise ValueError("alpha list is empty; give at least one interpolation exponent")
         args.alpha_values = alphas
 
         os.makedirs(args.out, exist_ok=True)

@@ -11,10 +11,21 @@ Conventions used throughout the package:
   F(f)(k) = integral of exp(-2*pi*i*x*k) * f(x) dx, so the transform of the
   unit Gaussian centered at mu is exp(-2*pi**2*sigma**2*k**2 - 2*pi*i*mu*k).
 
-All sums over the lattice are truncated once terms drop below
-``TERM_FLOOR`` and the index is at least ten standard deviations from the
-center; with TERM_FLOOR = 1e-300 the discarded mass is far below float64
-resolution of any reported quantity.
+The lattice series that plans and certificates rest on live here, once,
+in mpmath at the caller's working precision: ``range_moments`` and
+``outside_moments`` (direct lattice sums over a range and outside it),
+``fourier_moment`` (the closed-form dual terms G_m(k)) and ``dual_sums``
+(the aliasing defect, summed over k != 0). Each series walks outward
+from the peak (or from frequency 1) and stops once a term falls below
+``_REL_CUTOFF`` times the largest seen, so no value is formed as
+1 + tiny and the truncation error sits far below the working precision
+of every caller (53 bits in the planner, 60 digits in the bound lab).
+
+The float64 functions (``normalization_N``, ``lattice_moment``) are
+brute-force reference oracles. They drop lattice terms once they fall
+below ``TERM_FLOOR`` and the index is at least ten standard deviations
+from the center; with TERM_FLOOR = 1e-300 the discarded mass is far
+below float64 resolution of any reported quantity.
 """
 
 from __future__ import annotations
@@ -22,29 +33,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 __all__ = [
     "TERM_FLOOR",
     "GaussianParams",
-    "TailMassResult",
-    "AliasingResult",
     "g0",
     "wrap_mod",
     "wrap_unit",
     "normalization_N",
-    "tail_mass",
-    "continuous_moment_Gm",
     "lattice_moment",
-    "window_mass",
-    "aliasing_error",
+    "gauss_mp",
+    "range_moments",
+    "outside_moments",
+    "fourier_moment",
+    "dual_sums",
 ]
 
-# Series terms below this value are dropped (see module docstring).
+# Float64 oracle terms below this value are dropped (see module docstring).
 TERM_FLOOR = 1e-300
 
-# Every series keeps at least this many sigmas around the center so the
-# stopping rule "term < TERM_FLOOR and index beyond mu + 10 sigma" holds.
+# Every float64 oracle sum keeps at least this many sigmas around the
+# center so the stopping rule "term < TERM_FLOOR and index beyond
+# mu + 10 sigma" holds.
 _MIN_RADIUS_SIGMAS = 10.0
 
 # exp(-x**2 / (2 sigma**2)) < TERM_FLOOR requires |x| > sigma * 37.2; one
@@ -52,6 +64,14 @@ _MIN_RADIUS_SIGMAS = 10.0
 _FLOOR_RADIUS_SIGMAS = math.sqrt(-2.0 * math.log(TERM_FLOOR)) + 1.0
 
 _MAX_MOMENT_ORDER = 4
+
+# The mpmath series stop once a term falls below this fraction of the
+# largest term seen (see module docstring); a series that has not stopped
+# after _LOOP_CAP lattice terms per side, or _DUAL_CAP dual frequencies,
+# raises instead of returning a truncated sum.
+_REL_CUTOFF = "1e-75"
+_LOOP_CAP = 100_000
+_DUAL_CAP = 1000
 
 
 def _series_radius(sigma: float) -> float:
@@ -115,42 +135,6 @@ class GaussianParams:
         return wrap_unit(self.mu)
 
 
-@dataclass(frozen=True)
-class TailMassResult:
-    """Two-sided lattice tail mass beyond +-K and its analytic ceilings.
-
-    ``exact_sum`` is the brute-force series, ``analytic_bound`` the
-    complementary-error-function form, ``exp_bound`` the looser pure
-    exponential. The bounds only dominate the series inside the stated
-    regime (K >= 1 and sigma <= K - 1/2); ``regime_ok`` reports that
-    predicate instead of silently asserting out-of-regime dominance.
-    """
-
-    exact_sum: float
-    analytic_bound: float
-    exp_bound: float
-    regime_ok: bool
-
-
-@dataclass(frozen=True)
-class AliasingResult:
-    """Aliasing discrepancy of the m-th lattice moment and its bounds.
-
-    ``exact_abs`` is |sum over k != 0 of G_m(-k)|, the true difference
-    between the full lattice moment and the continuous moment (Poisson
-    summation). ``series_abs`` is the term-wise absolute series, which
-    upper-bounds it. ``analytic_bound`` is the closed form evaluated at
-    ``delta1``; it dominates ``series_abs`` only when
-    ``preconditions_met`` is true.
-    """
-
-    exact_abs: float
-    series_abs: float
-    analytic_bound: float
-    delta1: float
-    preconditions_met: bool
-
-
 def g0(x, mu, sigma):
     """Gaussian density with center ``mu`` and width ``sigma``.
 
@@ -208,40 +192,6 @@ def normalization_N(params: GaussianParams) -> float:
     return float(np.sum(g0(grid, mu_t, params.sigma)))
 
 
-def tail_mass(params: GaussianParams, K: int) -> TailMassResult:
-    """Lattice mass beyond the window [-K, K] around the wrapped center.
-
-    Returns the exact two-sided series sum(n > K) + sum(n < -K) of
-    g0(n, mu_wrapped), the erfc((K - 1/2) / (sqrt(2) sigma)) ceiling, and
-    the exp(-(K - 1/2)**2 / (2 sigma**2)) ceiling above that.
-
-    Raises ``ValueError`` for K <= 0.
-    """
-    if not (isinstance(K, (int, np.integer)) and K >= 1):
-        raise ValueError(f"K must be a positive integer, got {K!r}")
-    sigma = params.sigma
-    mu_t = params.mu_wrapped
-    r = _series_radius(sigma)
-    right = _clipped_lattice(mu_t, sigma, K + 1, max(K + 1, math.floor(mu_t + r)))
-    left = _clipped_lattice(mu_t, sigma, min(-K - 1, math.ceil(mu_t - r)), -K - 1)
-    total = 0.0
-    if right.size:
-        total += float(np.sum(g0(right, mu_t, sigma)))
-    if left.size:
-        total += float(np.sum(g0(left, mu_t, sigma)))
-    arg = (K - 0.5) / (math.sqrt(2.0) * sigma)
-    analytic = math.erfc(arg)
-    log_exp_bound = -((K - 0.5) ** 2) / (2.0 * sigma * sigma)
-    exp_bound = math.exp(log_exp_bound) if log_exp_bound > -745.0 else 0.0
-    regime_ok = K >= 1 and sigma <= K - 0.5
-    return TailMassResult(
-        exact_sum=total,
-        analytic_bound=analytic,
-        exp_bound=exp_bound,
-        regime_ok=regime_ok,
-    )
-
-
 def _check_moment_order(m: int) -> None:
     if not (isinstance(m, (int, np.integer)) and m >= 0):
         raise ValueError(f"moment order must be an integer >= 0, got {m!r}")
@@ -250,47 +200,6 @@ def _check_moment_order(m: int) -> None:
             f"moment order {m} not supported; closed forms are hard-coded "
             f"for m <= {_MAX_MOMENT_ORDER}"
         )
-
-
-def continuous_moment_Gm(k: float, m: int, params: GaussianParams) -> complex:
-    """Fourier transform of x**m * g0(x, mu) at frequency ``k``.
-
-    Closed forms for m <= 4 in terms of w = mu - 2*pi*i*sigma**2*k:
-
-    m = 0: G0(k) = exp(-2*pi**2*sigma**2*k**2 - 2*pi*i*mu*k)
-    m = 1: w * G0
-    m = 2: (w**2 + sigma**2) * G0
-    m = 3: (w**3 + 3*sigma**2*w) * G0
-    m = 4: (w**4 + 6*sigma**2*w**2 + 3*sigma**4) * G0
-
-    At k = 0 these reduce to the raw Gaussian moments, e.g. G1(0) = mu and
-    G2(0) = mu**2 + sigma**2. Note ``mu`` is used as stored, not wrapped.
-    """
-    _check_moment_order(m)
-    sigma = params.sigma
-    mu = params.mu
-    s2 = sigma * sigma
-    expo = -2.0 * math.pi * math.pi * s2 * k * k
-    base = _cexp(expo, -2.0 * math.pi * mu * k)
-    if m == 0:
-        return base
-    w = complex(mu, -2.0 * math.pi * s2 * k)
-    if m == 1:
-        poly = w
-    elif m == 2:
-        poly = w * w + s2
-    elif m == 3:
-        poly = w * (w * w + 3.0 * s2)
-    else:
-        w2 = w * w
-        poly = w2 * w2 + 6.0 * s2 * w2 + 3.0 * s2 * s2
-    return poly * base
-
-
-def _cexp(re: float, im: float) -> complex:
-    """exp(re + i*im) with the magnitude computed in the real domain."""
-    mag = math.exp(re) if re > -745.0 else 0.0
-    return complex(mag * math.cos(im), mag * math.sin(im))
 
 
 def lattice_moment(m: int, params: GaussianParams, K: int | None = None) -> float:
@@ -314,80 +223,114 @@ def lattice_moment(m: int, params: GaussianParams, K: int | None = None) -> floa
     return float(np.sum(grid**m * g0(grid, mu_t, sigma)))
 
 
-def window_mass(sigma: float, K: int, center: float) -> float:
-    """Mass sum of g0(n, center, sigma) over the window n in [-K, K].
+# ---------------------------------------------------------------------------
+# High-precision lattice series (mpmath, at the caller's working precision)
 
-    Used for contamination estimates where ``center`` is the offset of a
-    neighboring peak from the window center (typically mu_t + Delta*2**q).
+
+def gauss_mp(x, mu, sigma) -> mpmath.mpf:
+    """``g0`` in mpmath: the unit-mass Gaussian density at ``x``."""
+    return mpmath.exp(-((x - mu) ** 2) / (2 * sigma**2)) / (
+        sigma * mpmath.sqrt(2 * mpmath.pi)
+    )
+
+
+def range_moments(mu, sigma, lo, hi, m_max: int) -> list[mpmath.mpf]:
+    """Sums of n**j * g0(n, mu, sigma) for j = 0..m_max over integer n in [lo, hi].
+
+    Either bound may be None (unbounded). The loop starts at the in-range
+    integer nearest the peak and walks outward, stopping once density
+    values fall below the working-precision cutoff relative to the
+    largest seen; polynomial weights cannot outrun the Gaussian decay on
+    the scales involved here.
     """
-    if not (isinstance(K, (int, np.integer)) and K >= 0):
-        raise ValueError(f"K must be a nonnegative integer, got {K!r}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    grid = _clipped_lattice(center, sigma, -K, K)
-    if grid.size == 0:
-        return 0.0
-    return float(np.sum(g0(grid, center, sigma)))
+    cutoff = mpmath.mpf(_REL_CUTOFF)
+    totals = [mpmath.mpf(0)] * (m_max + 1)
+    n0 = int(mpmath.nint(mu))
+    if lo is not None:
+        n0 = max(n0, int(lo))
+    if hi is not None:
+        n0 = min(n0, int(hi))
+    head = mpmath.mpf(0)
+
+    def walk(start: int, step: int, limit) -> None:
+        nonlocal head
+        n = start
+        for _ in range(_LOOP_CAP):
+            if limit is not None and (n - limit) * step > 0:
+                return
+            g = gauss_mp(n, mu, sigma)
+            head = max(head, g)
+            nj = mpmath.mpf(1)
+            for j in range(m_max + 1):
+                totals[j] += nj * g
+                nj *= n
+            if head > 0 and g < head * cutoff:
+                return
+            n += step
+        raise ArithmeticError("lattice sum failed to converge")
+
+    walk(n0, +1, hi)
+    walk(n0 - 1, -1, lo)
+    return totals
 
 
-def aliasing_error(
-    m: int, params: GaussianParams, delta1: float | None = None
-) -> AliasingResult:
-    """Aliasing discrepancy of the m-th lattice moment, with bounds.
+def outside_moments(mu, sigma, lo: int, hi: int, m_max: int) -> list[mpmath.mpf]:
+    """Sums of n**j * g0(n, mu, sigma) for integer n outside [lo, hi], j = 0..m_max."""
+    upper = range_moments(mu, sigma, hi + 1, None, m_max)
+    lower = range_moments(mu, sigma, None, lo - 1, m_max)
+    return [u + l for u, l in zip(upper, lower)]
 
-    Poisson summation gives
-    sum over n of n**m g0(n, mu) - Gm(0) = sum over k != 0 of Gm(-k),
-    so ``exact_abs`` is the modulus of that signed dual series and
-    ``series_abs`` = 2 * sum(k >= 1) |Gm(k)| dominates it (|Gm(-k)| equals
-    |Gm(k)| because Gm(-k) is the conjugate of Gm(k) for real mu).
 
-    ``analytic_bound`` is
+def fourier_moment(m: int, k, mu, sigma) -> mpmath.mpc:
+    """Fourier transform G_m(k) of x**m * g0(x, mu) at frequency ``k``.
 
-        4 * exp(2*pi*delta1*|mu|) * exp(2*pi**2*(delta1**2 + 2*delta1)*sigma**2)
-          * exp(-2*pi**2*sigma**2) * m! / (pi**m * delta1**m)
+    Closed forms for m <= 4 in terms of w = mu - 2*pi*i*sigma**2*k:
 
-    valid when exp(-2*pi**2*sigma**2*(1 - 2*delta1)) <= 1/2 and
-    0 < delta1 < 1/2; ``preconditions_met`` reports that predicate.
-    ``delta1`` defaults to 1/(pi * 2**q).
+    m = 0: G0(k) = exp(-2*pi**2*sigma**2*k**2 - 2*pi*i*mu*k)
+    m = 1: w * G0
+    m = 2: (w**2 + sigma**2) * G0
+    m = 3: (w**3 + 3*sigma**2*w) * G0
+    m = 4: (w**4 + 6*sigma**2*w**2 + 3*sigma**4) * G0
+
+    At k = 0 the real part is the continuous moment, e.g. G2(0) =
+    mu**2 + sigma**2. ``mu`` is used as given, not wrapped.
     """
     _check_moment_order(m)
-    if delta1 is None:
-        delta1 = 1.0 / (math.pi * params.n_bins)
-    if not (0.0 < delta1 < 0.5):
-        raise ValueError(f"delta1 must lie in (0, 1/2), got {delta1!r}")
-    sigma = params.sigma
-    mu = params.mu_wrapped
-    wrapped = GaussianParams(sigma=sigma, q=params.q, mu=mu)
-    signed = 0.0 + 0.0j
-    absolute = 0.0
-    k = 1
-    while True:
-        gk = continuous_moment_Gm(float(k), m, wrapped)
-        gmk = continuous_moment_Gm(float(-k), m, wrapped)
-        term_abs = abs(gk) + abs(gmk)
-        signed += gk + gmk
-        absolute += term_abs
-        if term_abs < TERM_FLOOR and k > 1 + sigma:
-            break
-        if k > 10_000:
-            break
-        k += 1
-    s2 = sigma * sigma
-    pre = -2.0 * math.pi**2 * s2 * (1.0 - 2.0 * delta1)
-    preconditions = pre <= math.log(0.5)
-    log_bound = (
-        math.log(4.0)
-        + 2.0 * math.pi * delta1 * abs(mu)
-        + 2.0 * math.pi**2 * (delta1 * delta1 + 2.0 * delta1) * s2
-        - 2.0 * math.pi**2 * s2
-        + math.lgamma(m + 1)
-        - m * math.log(math.pi * delta1)
+    s2 = sigma**2
+    base = mpmath.exp(
+        mpmath.mpc(-2 * mpmath.pi**2 * s2 * k * k, -2 * mpmath.pi * mu * k)
     )
-    bound = math.exp(log_bound) if log_bound > -745.0 else 0.0
-    return AliasingResult(
-        exact_abs=abs(signed),
-        series_abs=absolute,
-        analytic_bound=bound,
-        delta1=delta1,
-        preconditions_met=preconditions,
-    )
+    if m == 0:
+        return base
+    w = mpmath.mpc(mu, -2 * mpmath.pi * s2 * k)
+    if m == 1:
+        return w * base
+    if m == 2:
+        return (w**2 + s2) * base
+    if m == 3:
+        return (w**3 + 3 * s2 * w) * base
+    return (w**4 + 6 * s2 * w**2 + 3 * s2**2) * base
+
+
+def dual_sums(m: int, mu, sigma) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(signed, absolute) sums of G_m(k) over integer k != 0.
+
+    By Poisson summation the signed sum is the exact defect of the full
+    lattice moment, sum over n of n**m g0(n, mu) - G_m(0); the absolute
+    sum of |G_m(k)| + |G_m(-k)| is its term-wise majorant, which bounds
+    the defect at every center.
+    """
+    cutoff = mpmath.mpf(_REL_CUTOFF)
+    signed = mpmath.mpf(0)
+    absolute = mpmath.mpf(0)
+    head = mpmath.mpf(0)
+    for k in range(1, _DUAL_CAP + 1):
+        gk = fourier_moment(m, k, mu, sigma)
+        gmk = fourier_moment(m, -k, mu, sigma)
+        signed += (gk + gmk).real
+        gain = abs(gk) + abs(gmk)
+        absolute += gain
+        head = max(head, gain)
+        if head > 0 and gain < head * cutoff and k >= 2:
+            return signed, absolute
+    raise ArithmeticError("dual-frequency sum failed to converge")

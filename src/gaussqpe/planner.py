@@ -19,6 +19,11 @@ Three layers are planned here:
 All failure probabilities are tracked in log space: the round budget
 shrinks geometrically until a ratio predicate holds, and its fixed point
 sits near exp(-700), at the edge of (or beyond) float64 range.
+
+The window-quality predicates (aliasing mass, tail mass, contamination
+norm) are evaluated on the mpmath lattice series of ``gaussian``, the
+same series the bound laboratory certifies with, at a fixed 53-bit
+precision.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Any
+
+import mpmath
 
 from . import gaussian
 
@@ -62,6 +69,9 @@ _BUDGET_HALVING_CAP = 5000
 _REVALIDATION_CAP = 5
 
 _PREDICATE_CEILING = 0.125  # each window-quality predicate must sit below 1/8
+# The window series run at float64's 53 bits whatever the caller's mpmath
+# context, so a plan never depends on it.
+_PREDICATE_PREC = 53
 
 
 class PlanInfeasible(RuntimeError):
@@ -307,18 +317,18 @@ def _window_width(q: int, Delta: float) -> int:
 def _predicate_values(
     sigma_bins: float, q: int, K: int, Delta: float
 ) -> tuple[float, float, float]:
-    """Brute-force window-quality quantities at the worst wrapped center.
+    """Window-quality quantities at the worst wrapped center.
 
     Returns (aliasing mass A, tail mass T, contamination norm R). The
     worst center for both tails and contamination is the interval
     boundary -1/2; the aliasing series is evaluated term-wise in absolute
     value, which dominates every center.
     """
-    params = gaussian.GaussianParams(sigma=sigma_bins, q=q, mu=-0.5)
-    A = gaussian.aliasing_error(0, params).series_abs
-    T = gaussian.tail_mass(params, K).exact_sum
-    R2 = gaussian.window_mass(sigma_bins, K, -0.5 + Delta * float(1 << q))
-    return A, T, math.sqrt(max(R2, 0.0))
+    with mpmath.workprec(_PREDICATE_PREC):
+        _, A = gaussian.dual_sums(0, -0.5, sigma_bins)
+        T = gaussian.outside_moments(-0.5, sigma_bins, -K, K, 0)[0]
+        R2 = gaussian.range_moments(-0.5 + Delta * float(1 << q), sigma_bins, -K, K, 0)[0]
+        return float(A), float(T), float(mpmath.sqrt(R2))
 
 
 def _window_predicates(

@@ -337,11 +337,22 @@ class SampleStream:
             cdf = dist.cdf
         else:
             probs = np.asarray(dist, dtype=np.float64)
+            finite = np.isfinite(probs)
+            if probs.ndim == 1 and not finite.all():
+                bad = np.flatnonzero(~finite)
+                raise ValueError(
+                    f"probabilities must be finite; entries {bad.tolist()} are "
+                    f"{probs[bad].tolist()}"
+                )
             if probs.ndim != 1 or probs.size == 0 or np.any(probs < 0.0):
                 raise ValueError("probabilities must be a nonnegative 1-d array")
-            cdf = np.cumsum(probs)
-            if cdf[-1] <= 0.0:
-                raise ValueError("probabilities must have positive total mass")
+            with np.errstate(over="ignore"):  # an overflowing total is rejected below
+                cdf = np.cumsum(probs)
+            if not 0.0 < cdf[-1] < np.inf:
+                raise ValueError(
+                    "probabilities must have a positive, finite total mass, "
+                    f"got {float(cdf[-1])!r}"
+                )
             cdf = cdf / cdf[-1]
         self._cdf = cdf
         # The bin of every u in bucket j lies between the bins of its edges

@@ -257,10 +257,27 @@ def test_gsee_thread_count_does_not_change_bytes(tmp_path):
         )
         assert rc == 0
         outs.append(out)
-    for name in ("estimates.csv", "plans.csv", "summary.json"):
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    assert "config-echo.json" in names
+    for name in names:
         a = Path(outs[0], name).read_bytes()
         b = Path(outs[1], name).read_bytes()
         assert a == b, name
+
+
+@pytest.mark.parametrize("mode", ["plan", "spectrum", "gsee", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_alpha_list_is_named_error(tmp_path, capsys, mode, source):
+    if source == "flag":
+        rc, out = run(tmp_path, ["--mode", mode, "--alpha-list", ","])
+    else:
+        rc, out = run(tmp_path, ["--mode", mode], config={**BASE_CONFIG, "alpha_list": []})
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "alpha list is empty" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_missing_config_is_input_error(tmp_path, capsys):

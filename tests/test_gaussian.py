@@ -3,24 +3,27 @@
 The frozen constants come from tests/make_oracles.py, which recomputes
 everything from first principles with mpmath (quadrature for the Fourier
 moments, explicit dual series for aliasing, brute-force lattice sums).
+They check the live mpmath series (``fourier_moment``, ``dual_sums``,
+``range_moments``, ``outside_moments``) that plans and the bound
+laboratory rest on, and the float64 reference oracles.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaussqpe import gaussian
 from gaussqpe.gaussian import (
     GaussianParams,
-    aliasing_error,
-    continuous_moment_Gm,
+    dual_sums,
+    fourier_moment,
     g0,
     lattice_moment,
     normalization_N,
-    tail_mass,
-    window_mass,
+    outside_moments,
+    range_moments,
     wrap_mod,
     wrap_unit,
 )
@@ -59,33 +62,27 @@ def test_density_broadcasts():
     ],
 )
 def test_fourier_moments_match_quadrature(k, m, mu, sigma, expected):
-    params = GaussianParams(sigma=sigma, q=12, mu=mu)
-    value = continuous_moment_Gm(k, m, params)
+    value = complex(fourier_moment(m, k, mu, sigma))
     assert value.real == pytest.approx(expected.real, rel=1e-12, abs=1e-18)
     assert value.imag == pytest.approx(expected.imag, rel=1e-12, abs=1e-18)
 
 
 def test_moment_zero_frequency_is_raw_moment():
     # At k = 0 the transform reduces to the plain Gaussian moments.
-    params = GaussianParams(sigma=1.7, q=10, mu=0.6)
-    mu, s2 = 0.6, 1.7**2
-    assert continuous_moment_Gm(0.0, 0, params) == pytest.approx(1.0)
-    assert continuous_moment_Gm(0.0, 1, params).real == pytest.approx(mu)
-    assert continuous_moment_Gm(0.0, 2, params).real == pytest.approx(mu**2 + s2)
-    assert continuous_moment_Gm(0.0, 3, params).real == pytest.approx(
-        mu**3 + 3 * mu * s2
-    )
-    assert continuous_moment_Gm(0.0, 4, params).real == pytest.approx(
-        mu**4 + 6 * mu**2 * s2 + 3 * s2**2
-    )
+    mu, sigma = 0.6, 1.7
+    s2 = sigma**2
+    raw = [1.0, mu, mu**2 + s2, mu**3 + 3 * mu * s2, mu**4 + 6 * mu**2 * s2 + 3 * s2**2]
+    for m, expected in enumerate(raw):
+        value = fourier_moment(m, 0, mu, sigma)
+        assert float(value.real) == pytest.approx(expected)
+        assert value.imag == 0
 
 
 def test_moment_order_out_of_range():
-    params = GaussianParams(sigma=1.0, q=8, mu=0.0)
     with pytest.raises(ValueError):
-        continuous_moment_Gm(0.0, 5, params)
+        fourier_moment(5, 0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        continuous_moment_Gm(0.0, -1, params)
+        fourier_moment(-1, 0, 0.0, 1.0)
 
 
 class TestWrap:
@@ -142,6 +139,12 @@ class TestWrap:
 def test_normalization_reference():
     params = GaussianParams(sigma=0.8, q=12, mu=0.3)
     assert normalization_N(params) == pytest.approx(NORM_Q12_SIGMA08, rel=1e-13)
+    # The same register sum assembled the way the bound laboratory does:
+    # 1 + signed aliasing defect - mass outside the register.
+    with mpmath.workdps(30):
+        signed, _ = dual_sums(0, 0.3, 0.8)
+        outside = outside_moments(0.3, 0.8, -2048, 2047, 0)[0]
+        assert float(1 + signed - outside) == pytest.approx(NORM_Q12_SIGMA08, rel=1e-15)
 
 
 def test_normalization_near_one_for_wide_window():
@@ -157,28 +160,18 @@ def test_normalization_near_one_for_wide_window():
 def test_normalization_sandwich(sigma, mu):
     """1 - tail-aliasing <= lattice sum <= 1 + aliasing, via Poisson duality."""
     params = GaussianParams(sigma=sigma, q=14, mu=mu)
+    half = params.n_bins // 2
     norm = normalization_N(params)
-    alias = aliasing_error(0, params).series_abs
-    reg_tail = tail_mass(params, params.n_bins // 2 - 1).analytic_bound
+    _, alias = dual_sums(0, params.mu_wrapped, sigma)
+    reg_tail = outside_moments(params.mu_wrapped, sigma, -half, half - 1, 0)[0]
     assert norm <= 1.0 + alias + 1e-15
     assert norm >= 1.0 - alias - reg_tail - 1e-15
 
 
 def test_tail_mass_reference():
-    params = GaussianParams(sigma=2.7573, q=12, mu=0.3)
-    result = tail_mass(params, 11)
-    assert result.exact_sum == pytest.approx(TAIL_K11, rel=1e-13)
-    assert result.analytic_bound == pytest.approx(TAIL_K11_ERFC, rel=1e-13)
-    assert result.exact_sum <= result.analytic_bound
-    assert result.regime_ok
-
-
-def test_tail_mass_regime_flag_is_honest():
-    # sigma > K - 1/2 breaks the exp ceiling's derivation; the flag must
-    # say so rather than the bound silently going invalid.
-    params = GaussianParams(sigma=4.0, q=10, mu=0.0)
-    result = tail_mass(params, 3)
-    assert not result.regime_ok
+    tail = float(outside_moments(0.3, 2.7573, -11, 11, 0)[0])
+    assert tail == pytest.approx(TAIL_K11, rel=1e-13)
+    assert tail <= TAIL_K11_ERFC
 
 
 @given(
@@ -188,26 +181,27 @@ def test_tail_mass_regime_flag_is_honest():
 )
 @settings(max_examples=60)
 def test_tail_chain(sigma, mu, K):
-    params = GaussianParams(sigma=sigma, q=12, mu=mu)
-    result = tail_mass(params, K)
-    assert result.exact_sum >= 0.0
-    assert result.exact_sum <= result.analytic_bound * (1.0 + 1e-12)
-    if result.regime_ok:
-        assert result.analytic_bound <= result.exp_bound * (1.0 + 1e-12)
+    """Tail <= erfc ceiling everywhere, and erfc <= exp ceiling in regime
+    (sigma <= K - 1/2)."""
+    tail = outside_moments(wrap_unit(mu), sigma, -K, K, 0)[0]
+    erfc_bound = mpmath.erfc((K - 0.5) / (math.sqrt(2.0) * sigma))
+    exp_bound = mpmath.exp(-((K - 0.5) ** 2) / (2.0 * sigma**2))
+    assert tail >= 0
+    assert tail <= erfc_bound * (1.0 + 1e-12)
+    if sigma <= K - 0.5:
+        assert erfc_bound <= exp_bound * (1.0 + 1e-12)
 
 
 def test_aliasing_reference_mass():
-    params = GaussianParams(sigma=1.0, q=10, mu=0.0)
-    result = aliasing_error(0, params)
-    assert result.exact_abs == pytest.approx(ALIAS0_SIGMA1, rel=1e-12)
-    assert result.series_abs == pytest.approx(ALIAS0_SIGMA1, rel=1e-12)
+    signed, absolute = dual_sums(0, 0.0, 1.0)
+    assert float(signed) == pytest.approx(ALIAS0_SIGMA1, rel=1e-12)
+    assert float(absolute) == pytest.approx(ALIAS0_SIGMA1, rel=1e-12)
 
 
 def test_aliasing_reference_second_moment():
-    params = GaussianParams(sigma=1.3, q=10, mu=0.25)
-    result = aliasing_error(2, params)
-    assert result.exact_abs == pytest.approx(ALIAS2_SIGNED, rel=1e-9)
-    assert result.series_abs == pytest.approx(ALIAS2_ABS, rel=1e-9)
+    signed, absolute = dual_sums(2, 0.25, 1.3)
+    assert float(signed) == pytest.approx(ALIAS2_SIGNED, rel=1e-9)
+    assert float(absolute) == pytest.approx(ALIAS2_ABS, rel=1e-9)
 
 
 def test_aliasing_closes_poisson_identity():
@@ -215,10 +209,9 @@ def test_aliasing_closes_poisson_identity():
     params = GaussianParams(sigma=0.9, q=12, mu=0.2)
     for m in range(3):
         lattice = lattice_moment(m, params)
-        continuous = continuous_moment_Gm(0.0, m, params).real
-        gap = abs(lattice - continuous)
-        result = aliasing_error(m, params)
-        assert gap == pytest.approx(result.exact_abs, rel=1e-6, abs=1e-15)
+        continuous = float(fourier_moment(m, 0, 0.2, 0.9).real)
+        signed, _ = dual_sums(m, 0.2, 0.9)
+        assert lattice - continuous == pytest.approx(float(signed), rel=1e-6, abs=1e-15)
 
 
 @given(
@@ -228,21 +221,16 @@ def test_aliasing_closes_poisson_identity():
 )
 @settings(max_examples=60)
 def test_aliasing_bound_dominates(m, sigma, mu):
-    params = GaussianParams(sigma=sigma, q=12, mu=mu)
-    result = aliasing_error(m, params)
-    assert result.exact_abs <= result.series_abs * (1.0 + 1e-12) + 1e-300
-    if result.preconditions_met:
-        assert result.series_abs <= result.analytic_bound * (1.0 + 1e-12)
+    signed, absolute = dual_sums(m, wrap_unit(mu), sigma)
+    assert abs(signed) <= absolute * (1.0 + 1e-12)
 
 
 def test_window_mass_matches_direct_sum():
     sigma, K, center = 1.9, 7, 3.4
-    direct = sum(g0(float(n), center, sigma) for n in range(-K, K + 1))
-    assert window_mass(sigma, K, center) == pytest.approx(direct, rel=1e-14)
-
-
-def test_window_mass_far_center_underflows_to_zero():
-    assert window_mass(1.0, 5, 300.0) == 0.0
+    series = range_moments(center, sigma, -K, K, 2)
+    for j in range(3):
+        direct = sum(n**j * g0(float(n), center, sigma) for n in range(-K, K + 1))
+        assert float(series[j]) == pytest.approx(direct, rel=1e-14)
 
 
 def test_params_validation():

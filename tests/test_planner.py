@@ -7,9 +7,12 @@ evaluates the printed formulas directly in mpmath.
 import json
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaussqpe.gaussian import g0
 from gaussqpe.planner import (
     DEFAULT_INTERP_COEFF,
     QPE_VOTE_COEFF,
@@ -20,6 +23,7 @@ from gaussqpe.planner import (
     plan_qpe_baseline,
     plan_sampling_round,
     plan_to_text,
+    _predicate_values,
 )
 
 QPE_COEFF = 11.656854249492380195
@@ -198,3 +202,34 @@ def test_plan_to_text_is_flat_and_deterministic(acceptance_plan):
     keys = [ln.split(" = ")[0] for ln in lines]
     assert keys == sorted(keys)
     assert any(ln.startswith("M = ") for ln in lines)
+
+
+def _float64_window_values(sigma_bins, q, K, Delta):
+    """(A, T, R) as explicit float64 sums over explicit ranges."""
+    k = np.arange(1, 51, dtype=float)
+    A = 2.0 * float(np.sum(np.exp(-2.0 * math.pi**2 * sigma_bins**2 * k**2)))
+    outside = np.concatenate([np.arange(-K - 200, -K), np.arange(K + 1, K + 201)])
+    T = float(np.sum(g0(outside.astype(float), -0.5, sigma_bins)))
+    window = np.arange(-K, K + 1, dtype=float)
+    R = math.sqrt(float(np.sum(g0(window, -0.5 + Delta * 2.0**q, sigma_bins))))
+    return A, T, R
+
+
+@pytest.mark.parametrize("which", ["acceptance", "default_grid", "small_window"])
+def test_predicate_values_match_float64_sums(which, acceptance_plan):
+    # At real plans T and R lie below float64 range (both sides read 0.0),
+    # so a hand-made small window pins them at representable values.
+    if which == "acceptance":
+        plan = acceptance_plan.round_plan
+    elif which == "default_grid":
+        plan = plan_sampling_round(0.001, 0.25, 0.1, 2, DEFAULT_INTERP_COEFF * 0.01)
+    if which == "small_window":
+        args = (1.0, 6, 2, 5.0 / 64.0)
+    else:
+        args = (plan.sigma_bins, plan.q, plan.K, plan.Delta_work)
+    values = _predicate_values(*args)
+    expected = _float64_window_values(*args)
+    assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # The planner fixes its own precision; the caller's context is ignored.
+    with mpmath.workprec(20):
+        assert _predicate_values(*args) == values

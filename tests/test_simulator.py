@@ -342,6 +342,22 @@ class TestSampleStream:
         np.testing.assert_array_equal(bins, np.searchsorted(cdf, u, side="right"))
         assert set(np.unique(bins).tolist()) == {0, 3, 5}
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([0.5, np.nan, 0.5], r"finite; entries \[1\] are \[nan\]"),
+            ([0.5, np.inf, 0.5], r"finite; entries \[1\] are \[inf\]"),
+            ([0.5, -np.inf, 0.5], r"finite; entries \[1\] are \[-inf\]"),
+            ([1e308, 1e308, 1.0], "positive, finite total mass, got inf"),
+        ],
+    )
+    def test_non_finite_probabilities_are_named_error(self, probs, message):
+        # A NaN entry slips past a "< 0" check, and so does a total that
+        # overflows; either turns the whole CDF into NaN, which used to
+        # send every draw to one bin.
+        with pytest.raises(ValueError, match=message):
+            SampleStream(np.array(probs), 1)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_outcomes_in_range(self, seed):
