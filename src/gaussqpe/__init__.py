@@ -14,7 +14,7 @@ from .estimation import (
     run_qpe_baseline,
     run_sampling_round,
 )
-from .gaussian import GaussianParams, g0, normalization_N, wrap_mod
+from .gaussian import g0
 from .planner import (
     GseePlan,
     PlanInfeasible,
@@ -43,10 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "GaussianParams",
     "g0",
-    "wrap_mod",
-    "normalization_N",
     "PlanInputs",
     "PlanParams",
     "GseePlan",

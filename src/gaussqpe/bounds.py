@@ -767,7 +767,6 @@ def run_default_grid(
     eps_rel: float = DEFAULT_EPS_REL,
     mc: bool = True,
     mc_rounds: int = 2000,
-    mc_seed: int = _MC_SEED,
 ) -> BoundReport:
     """Evaluate the full bound suite over the default plan grid.
 
@@ -794,5 +793,5 @@ def run_default_grid(
             if p.m == 1 and p.delta_input == max(deltas) and p.Delta_input == 0.1
         ]
         for i, plan in enumerate(mc_plans):
-            cases.append(_mc_case(plan, -0.25, mc_rounds, mc_seed + i))
+            cases.append(_mc_case(plan, -0.25, mc_rounds, _MC_SEED + i))
     return BoundReport(cases=tuple(cases))

@@ -96,6 +96,20 @@ def _strict_float(value: Any, name: str) -> float:
     return float(value)
 
 
+def _number_array(value: Any, name: str) -> np.ndarray:
+    """float64 array of nested JSON lists whose entries are all numbers."""
+
+    def check(node: Any) -> None:
+        if isinstance(node, list):
+            for item in node:
+                check(item)
+        else:
+            _strict_float(node, f"{name} entry")
+
+    check(value)
+    return np.array(value, dtype=np.float64)
+
+
 def _qpe_targets(config: dict[str, Any]) -> tuple[float, float]:
     node = config.get("qpe")
     if node is None:
@@ -125,12 +139,15 @@ def _spectrum_from_config(config: dict[str, Any]) -> SpectrumSpec:
             node = json.load(fh)
     if "dense_hamiltonian" in node:
         dense = node["dense_hamiltonian"]
-        real = np.array(dense["matrix_real"], dtype=np.float64)
-        imag = np.array(dense.get("matrix_imag", np.zeros_like(real)), dtype=np.float64)
-        v_real = np.array(dense["initial_real"], dtype=np.float64)
-        v_imag = np.array(
-            dense.get("initial_imag", np.zeros_like(v_real)), dtype=np.float64
-        )
+        arrays = {
+            key: _number_array(dense[key], f"spectrum.dense_hamiltonian.{key}")
+            for key in ("matrix_real", "matrix_imag", "initial_real", "initial_imag")
+            if key in dense
+        }
+        real = arrays["matrix_real"]
+        imag = arrays.get("matrix_imag", np.zeros_like(real))
+        v_real = arrays["initial_real"]
+        v_imag = arrays.get("initial_imag", np.zeros_like(v_real))
         ham = DenseHamiltonian(matrix=real + 1j * imag, initial=v_real + 1j * v_imag)
         return eigendecompose(ham)
     return SpectrumSpec.from_dict(node)
@@ -211,13 +228,13 @@ def _gsee_one_alpha(spec, config, alpha, runs, children, threads):
     dist = mixed_distribution(spec, plan)
 
     def one_run(i: int):
-        est = run_gsee(spec, None, children[i], plan=plan, dist=dist)
-        return est
+        # Keyword arguments: the traced benchmark reads ``plan`` by name.
+        return run_gsee(plan=plan, dist=dist, seed=children[i])
 
     if threads == 1 or runs == 1:
         estimates = [one_run(i) for i in range(runs)]
     else:
-        workers = threads if threads > 0 else None
+        workers = threads or None
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             estimates = list(pool.map(one_run, range(runs)))
     return plan, estimates
@@ -307,7 +324,7 @@ def _cmd_qpe(args, config) -> int:
     rows = []
     failures = 0
     for run_id in range(args.runs):
-        est = run_qpe_baseline(spec, epsilon, delta, children[run_id], baseline)
+        est = run_qpe_baseline(spec, baseline, children[run_id])
         err = est.theta_hat - spec.ground_phase
         success = abs(err) <= epsilon
         if not success:
@@ -422,6 +439,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 setattr(args, name, _strict_int(config.get(name, default), name))
         if args.runs < 1:
             raise ValueError(f"runs must be positive, got {args.runs}")
+        if args.threads < 0:
+            raise ValueError(f"threads must be nonnegative (0 = auto), got {args.threads}")
         if args.alpha_list is not None:
             alphas = [float(tok) for tok in args.alpha_list.split(",") if tok.strip()]
         elif "alpha_list" in config:

@@ -18,21 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planner import (
-    GseePlan,
-    PlanInputs,
-    PlanParams,
-    QpeBaseline,
-    _check_order,
-    plan_gsee,
-    plan_qpe_baseline,
-)
+from .planner import GseePlan, PlanParams, QpeBaseline, _check_order
 from .simulator import (
     OutcomeDistribution,
     SampleStream,
     SpectrumSpec,
     distribution_from_window,
-    mixed_distribution,
     rectangular_window,
 )
 
@@ -171,27 +162,25 @@ def moment_from_basket(
 
 
 def run_gsee(
-    spec: SpectrumSpec,
-    inputs: PlanInputs | None,
+    plan: GseePlan,
+    dist: OutcomeDistribution,
     seed: int | np.random.SeedSequence,
-    plan: GseePlan | None = None,
-    dist: OutcomeDistribution | None = None,
 ) -> EnergyEstimate:
-    """Run the full pipeline: M rounds of M0 draws, basket mean each
-    round, grand mean over rounds.
+    """Run the full pipeline on ``dist``, the register distribution of
+    ``plan`` (see ``simulator.mixed_distribution``): M rounds of M0
+    draws, basket mean each round, grand mean over rounds.
 
     Rounds are consecutive M0-sized blocks of a single sample stream, so
     results are bit-identical however the draws are batched internally.
     ``n_left`` counts rounds whose anchor fell more than K bins left of
     the median anchor, the signature of a left-outlier round.
     """
-    if plan is None:
-        if inputs is None:
-            raise ValueError("either inputs or a precomputed plan is required")
-        plan = plan_gsee(inputs)
     round_plan = plan.round_plan
-    if dist is None:
-        dist = mixed_distribution(spec, plan)
+    if dist.q != round_plan.q:
+        raise ValueError(
+            f"distribution is on 2**{dist.q} bins but the plan's register "
+            f"has 2**{round_plan.q}; build it with mixed_distribution(spec, plan)"
+        )
     stream = SampleStream(dist, seed)
 
     M, M0 = plan.M, round_plan.M0
@@ -235,12 +224,11 @@ def run_gsee(
 
 def run_qpe_baseline(
     spec: SpectrumSpec,
-    epsilon: float,
-    delta: float,
+    baseline: QpeBaseline,
     seed: int | np.random.SeedSequence,
-    baseline: QpeBaseline | None = None,
 ) -> QpeEstimate:
-    """Majority vote over repeated rectangular-window estimates.
+    """Majority vote over repeated rectangular-window estimates, sized by
+    ``baseline`` (see ``planner.plan_qpe_baseline``).
 
     Only supports an initial state that is the ground eigenstate; the
     vote has no defense against excited-state contamination.
@@ -250,8 +238,6 @@ def run_qpe_baseline(
             "baseline requires the initial state to be the ground eigenstate; "
             f"got squared overlap {spec.ground_overlap_sq!r}"
         )
-    if baseline is None:
-        baseline = plan_qpe_baseline(epsilon, delta)
     window = rectangular_window(baseline.q)
     probs = distribution_from_window(window, spec.ground_phase)
     stream = SampleStream(probs, seed)

@@ -11,6 +11,7 @@ Conventions used throughout the package:
   F(f)(k) = integral of exp(-2*pi*i*x*k) * f(x) dx, so the transform of the
   unit Gaussian centered at mu is exp(-2*pi**2*sigma**2*k**2 - 2*pi*i*mu*k).
 
+``g0`` is the float64 density that ``simulator.gaussian_window`` samples.
 The lattice series that plans and certificates rest on live here, once,
 in mpmath at the caller's working precision: ``range_moments`` and
 ``outside_moments`` (direct lattice sums over a range and outside it),
@@ -20,48 +21,24 @@ from the peak (or from frequency 1) and stops once a term falls below
 ``_REL_CUTOFF`` times the largest seen, so no value is formed as
 1 + tiny and the truncation error sits far below the working precision
 of every caller (53 bits in the planner, 60 digits in the bound lab).
-
-The float64 functions (``normalization_N``, ``lattice_moment``) are
-brute-force reference oracles. They drop lattice terms once they fall
-below ``TERM_FLOOR`` and the index is at least ten standard deviations
-from the center; with TERM_FLOOR = 1e-300 the discarded mass is far
-below float64 resolution of any reported quantity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
 __all__ = [
-    "TERM_FLOOR",
-    "GaussianParams",
     "g0",
     "wrap_mod",
-    "wrap_unit",
-    "normalization_N",
-    "lattice_moment",
     "gauss_mp",
     "range_moments",
     "outside_moments",
     "fourier_moment",
     "dual_sums",
 ]
-
-# Float64 oracle terms below this value are dropped (see module docstring).
-TERM_FLOOR = 1e-300
-
-# Every float64 oracle sum keeps at least this many sigmas around the
-# center so the stopping rule "term < TERM_FLOOR and index beyond
-# mu + 10 sigma" holds.
-_MIN_RADIUS_SIGMAS = 10.0
-
-# exp(-x**2 / (2 sigma**2)) < TERM_FLOOR requires |x| > sigma * 37.2; one
-# extra sigma absorbs the 1/(sigma sqrt(2 pi)) prefactor for small sigma.
-_FLOOR_RADIUS_SIGMAS = math.sqrt(-2.0 * math.log(TERM_FLOOR)) + 1.0
 
 _MAX_MOMENT_ORDER = 4
 
@@ -72,67 +49,6 @@ _MAX_MOMENT_ORDER = 4
 _REL_CUTOFF = "1e-75"
 _LOOP_CAP = 100_000
 _DUAL_CAP = 1000
-
-
-def _series_radius(sigma: float) -> float:
-    return max(_MIN_RADIUS_SIGMAS, _FLOOR_RADIUS_SIGMAS) * sigma
-
-
-def wrap_unit(mu: float) -> float:
-    """Signed fractional residue of ``mu`` in [-1/2, 1/2).
-
-    Uses round-half-to-even, with the single boundary case +1/2 (reachable
-    when the tie rounds down) folded to -1/2 so the documented interval is
-    kept.
-    """
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
-    r = mu - _round_half_even(mu)
-    if r == 0.5:
-        r = -0.5
-    return r
-
-
-def _round_half_even(x: float) -> float:
-    # np.round and Python round both implement half-to-even; use the
-    # float-returning numpy form so large values stay exact floats.
-    return float(np.round(x))
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Width, lattice size, and center of a discretized Gaussian window.
-
-    Parameters
-    ----------
-    sigma : float
-        Standard deviation in bins, > 0.
-    q : int
-        Number of ancilla qubits; the lattice has 2**q bins.
-    mu : float
-        Center in bins. May be any finite float; the wrapped residue
-        ``mu_wrapped`` in [-1/2, 1/2) is what the lattice sums use.
-    """
-
-    sigma: float
-    q: int
-    mu: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.q, int) and self.q >= 1):
-            raise ValueError(f"q must be an integer >= 1, got {self.q!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
-
-    @property
-    def n_bins(self) -> int:
-        return 1 << self.q
-
-    @property
-    def mu_wrapped(self) -> float:
-        return wrap_unit(self.mu)
 
 
 def g0(x, mu, sigma):
@@ -168,30 +84,6 @@ def wrap_mod(k, mu, q: int):
     return r
 
 
-def _clipped_lattice(mu: float, sigma: float, lo: float, hi: float) -> np.ndarray:
-    """Integer grid covering [lo, hi] clipped to the series radius."""
-    r = _series_radius(sigma)
-    a = max(math.ceil(lo), math.ceil(mu - r))
-    b = min(math.floor(hi), math.floor(mu + r))
-    if a > b:
-        return np.empty(0, dtype=float)
-    return np.arange(a, b + 1, dtype=float)
-
-
-def normalization_N(params: GaussianParams) -> float:
-    """Window normalizer: sum of g0(k, mu_wrapped) over the 2**q bin grid.
-
-    The grid runs from -2**(q-1) to 2**(q-1) - 1 inclusive. Terms outside
-    the series radius are dropped (each is below TERM_FLOOR).
-    """
-    half = params.n_bins // 2
-    mu_t = params.mu_wrapped
-    grid = _clipped_lattice(mu_t, params.sigma, -half, half - 1)
-    if grid.size == 0:
-        return 0.0
-    return float(np.sum(g0(grid, mu_t, params.sigma)))
-
-
 def _check_moment_order(m: int) -> None:
     if not (isinstance(m, (int, np.integer)) and m >= 0):
         raise ValueError(f"moment order must be an integer >= 0, got {m!r}")
@@ -200,27 +92,6 @@ def _check_moment_order(m: int) -> None:
             f"moment order {m} not supported; closed forms are hard-coded "
             f"for m <= {_MAX_MOMENT_ORDER}"
         )
-
-
-def lattice_moment(m: int, params: GaussianParams, K: int | None = None) -> float:
-    """Brute-force lattice moment sum of n**m * g0(n, mu_wrapped).
-
-    With ``K`` given the sum runs over the window n in [-K, K]; otherwise
-    over all integers (truncated at the series radius).
-    """
-    _check_moment_order(m)
-    sigma = params.sigma
-    mu_t = params.mu_wrapped
-    if K is None:
-        r = _series_radius(sigma)
-        grid = _clipped_lattice(mu_t, sigma, math.ceil(mu_t - r), math.floor(mu_t + r))
-    else:
-        if not (isinstance(K, (int, np.integer)) and K >= 0):
-            raise ValueError(f"K must be a nonnegative integer, got {K!r}")
-        grid = _clipped_lattice(mu_t, sigma, -K, K)
-    if grid.size == 0:
-        return 0.0
-    return float(np.sum(grid**m * g0(grid, mu_t, sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +108,17 @@ def gauss_mp(x, mu, sigma) -> mpmath.mpf:
 def range_moments(mu, sigma, lo, hi, m_max: int) -> list[mpmath.mpf]:
     """Sums of n**j * g0(n, mu, sigma) for j = 0..m_max over integer n in [lo, hi].
 
-    Either bound may be None (unbounded). The loop starts at the in-range
-    integer nearest the peak and walks outward, stopping once density
-    values fall below the working-precision cutoff relative to the
-    largest seen; polynomial weights cannot outrun the Gaussian decay on
-    the scales involved here.
+    Either bound may be None (unbounded); an empty range sums to zeros.
+    The loop starts at the in-range integer nearest the peak and walks
+    outward, stopping once density values fall below the working-precision
+    cutoff relative to the largest seen; polynomial weights cannot outrun
+    the Gaussian decay on the scales involved here.
     """
-    cutoff = mpmath.mpf(_REL_CUTOFF)
     totals = [mpmath.mpf(0)] * (m_max + 1)
+    if lo is not None and hi is not None and lo > hi:
+        return totals
+    mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
+    cutoff = mpmath.mpf(_REL_CUTOFF)
     n0 = int(mpmath.nint(mu))
     if lo is not None:
         n0 = max(n0, int(lo))
@@ -296,6 +170,7 @@ def fourier_moment(m: int, k, mu, sigma) -> mpmath.mpc:
     mu**2 + sigma**2. ``mu`` is used as given, not wrapped.
     """
     _check_moment_order(m)
+    mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
     s2 = sigma**2
     base = mpmath.exp(
         mpmath.mpc(-2 * mpmath.pi**2 * s2 * k * k, -2 * mpmath.pi * mu * k)

@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from . import gaussian
-from .planner import GseePlan, PlanParams
+from .planner import GseePlan, PlanParams, _check_real
 
 __all__ = [
     "SpectrumSpec",
@@ -44,7 +44,6 @@ __all__ = [
     "gaussian_window",
     "rectangular_window",
     "distribution_from_window",
-    "eigenstate_distribution",
     "mixed_distribution",
     "OutcomeDistribution",
     "SampleStream",
@@ -75,14 +74,18 @@ class SpectrumSpec:
     """Point spectrum with squared overlaps of the initial state.
 
     Phases are in turns and must lie strictly inside (-1/2, 1/2) so that
-    no eigenphase sits on the wrap-around seam. Entries are sorted by
-    phase on construction; overlaps must be nonnegative and sum to 1.
+    no eigenphase sits on the wrap-around seam. Entries must be real
+    numbers (not bools or strings) and are sorted by phase on
+    construction; overlaps must be nonnegative and sum to 1.
     """
 
     eigenphases: tuple[float, ...]
     overlaps_sq: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for name in ("eigenphases", "overlaps_sq"):
+            for value in getattr(self, name):
+                _check_real(value, f"{name} entry")
         phases = tuple(float(p) for p in self.eigenphases)
         weights = tuple(float(w) for w in self.overlaps_sq)
         if len(phases) == 0:
@@ -133,13 +136,9 @@ class SpectrumSpec:
             overlaps_sq=tuple(data["overlaps_sq"]),
         )
 
-    def validate_for_plan(self, plan: PlanParams | GseePlan) -> None:
+    def validate_for_plan(self, round_plan: PlanParams) -> None:
         """Raise ``SpectrumPlanMismatch`` unless this spectrum satisfies
-        the gap, range, and overlap assumptions of ``plan``."""
-        if isinstance(plan, GseePlan):
-            round_plan = plan.round_plan
-        else:
-            round_plan = plan
+        the gap, range, and overlap assumptions of ``round_plan``."""
         Delta = round_plan.Delta_work
         eta = round_plan.eta
         if self.ground_overlap_sq < eta - _SUM_TOL:
@@ -260,13 +259,6 @@ def distribution_from_window(window: np.ndarray, theta: float) -> np.ndarray:
     return np.abs(b) ** 2
 
 
-def eigenstate_distribution(theta: float, plan: PlanParams) -> np.ndarray:
-    """Gaussian-window outcome distribution for a single eigenphase."""
-    return distribution_from_window(
-        gaussian_window(plan.q, plan.sigma_tilde), theta
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Register distribution for a spectrum under one plan.
@@ -277,8 +269,6 @@ class OutcomeDistribution:
     """
 
     q: int
-    thetas: tuple[float, ...]
-    weights: tuple[float, ...]
     per_eigenstate: np.ndarray
     mixed: np.ndarray
     cdf: np.ndarray
@@ -315,8 +305,6 @@ def mixed_distribution(
         arr.flags.writeable = False
     return OutcomeDistribution(
         q=round_plan.q,
-        thetas=spec.eigenphases,
-        weights=spec.overlaps_sq,
         per_eigenstate=per,
         mixed=mixed,
         cdf=cdf,

@@ -30,7 +30,6 @@ from gaussqpe.simulator import (
     SampleStream,
     SpectrumSpec,
     distribution_from_window,
-    eigenstate_distribution,
     gaussian_window,
     mixed_distribution,
     rectangular_window,
@@ -103,10 +102,12 @@ def test_distribution_invariants(acceptance_plan):
 
     def dist_factory(q):
         if q == 12:
-            return lambda th: eigenstate_distribution(th, acceptance_plan.round_plan)
-        if q == 16:
-            return lambda th: eigenstate_distribution(th, q16_plan)
-        window = gaussian_window(8, 3.0 / 256.0)
+            rp = acceptance_plan.round_plan
+            window = gaussian_window(rp.q, rp.sigma_tilde)
+        elif q == 16:
+            window = gaussian_window(q16_plan.q, q16_plan.sigma_tilde)
+        else:
+            window = gaussian_window(8, 3.0 / 256.0)
         return lambda th: distribution_from_window(window, th)
 
     worst_norm = worst_shift = worst_reflect = 0.0
@@ -184,9 +185,7 @@ def test_end_to_end_failure_rate(acceptance_spectrum, acceptance_plan):
     epsilon = acceptance_plan.inputs.epsilon
     errs = np.empty(runs)
     for i in range(runs):
-        est = estimation.run_gsee(
-            acceptance_spectrum, None, children[i], plan=acceptance_plan, dist=dist
-        )
+        est = estimation.run_gsee(acceptance_plan, dist, children[i])
         errs[i] = abs(est.mu_hat - theta0)
     failures = int(np.count_nonzero(errs > epsilon))
     rate = failures / runs
@@ -247,7 +246,7 @@ def test_qpe_baseline_guarantee():
     children = np.random.SeedSequence(SEED).spawn(trials)
     failures = sum(
         abs(
-            estimation.run_qpe_baseline(one, 0.01, 0.01, children[i], baseline).theta_hat
+            estimation.run_qpe_baseline(one, baseline, children[i]).theta_hat
             - theta_half
         )
         > 0.01
@@ -269,7 +268,7 @@ def test_second_moment_convergence():
     t0 = time.perf_counter()
     plan = plan_sampling_round(0.01, 1.0, 0.2, 2, 0.01)
     theta0 = 0.1
-    probs = eigenstate_distribution(theta0, plan)
+    probs = distribution_from_window(gaussian_window(plan.q, plan.sigma_tilde), theta0)
     stream = SampleStream(probs, SEED)
     rounds = 100_000
     vals = np.empty(rounds)

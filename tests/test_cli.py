@@ -183,13 +183,34 @@ def test_bounds_mode_reduced_grid(tmp_path):
         ("bounds", "bounds", "mu_centers", ["0.25"], "bounds.mu_centers entry must be a number"),
         ("bounds", "bounds", "eps_rel", "0.001", "bounds.eps_rel must be a number"),
         ("qpe", "qpe", "epsilon", "0.01", "qpe.epsilon must be a number"),
+        ("spectrum", "spectrum", "eigenphases", ["-0.2", "-0.05", "0.15"],
+         "eigenphases entry must be a real number"),
+        ("spectrum", "spectrum", "overlaps_sq", [True, False, False],
+         "overlaps_sq entry must be a real number"),
+        ("spectrum", "spectrum", "dense_hamiltonian",
+         {"matrix_real": [["-0.2", 0], [0, "0.15"]], "initial_real": [1.0, 0.0]},
+         "spectrum.dense_hamiltonian.matrix_real entry must be a number"),
+        ("spectrum", "spectrum", "dense_hamiltonian",
+         {"matrix_real": [[-0.2, 0], [0, 0.15]], "initial_real": [True, 0]},
+         "spectrum.dense_hamiltonian.initial_real entry must be a number"),
+        ("spectrum", "spectrum", "dense_hamiltonian",
+         {"matrix_real": [[-0.2, 0], [0, 0.15]], "matrix_imag": [[0, False], [False, 0]],
+          "initial_real": [1.0, 0.0]},
+         "spectrum.dense_hamiltonian.matrix_imag entry must be a number"),
+        ("gsee", None, "threads", -4, "threads must be nonnegative"),
+        # A key that is a flag goes on the command line instead.
+        ("gsee", None, "--threads", "-4", "threads must be nonnegative"),
     ],
 )
 def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, value, message):
     config = json.loads(json.dumps(BASE_CONFIG))
-    node = config.setdefault(section, {}) if section else config
-    node[key] = value
-    rc, _ = run(tmp_path, ["--mode", mode], config=config)
+    argv = ["--mode", mode]
+    if key.startswith("--"):
+        argv += [key, value]
+    else:
+        node = config.setdefault(section, {}) if section else config
+        node[key] = value
+    rc, _ = run(tmp_path, argv, config=config)
     assert rc == 1
     assert message in capsys.readouterr().err
 

@@ -4,6 +4,7 @@ HOEFFDING_185 is ceil(ln(2/0.05) / (2 * 0.1**2)) from the oracle script.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from gaussqpe.estimation import (
     run_sampling_round,
 )
 from gaussqpe.planner import (
-    PlanInputs,
     hoeffding_sample_count,
     plan_gsee,
+    plan_qpe_baseline,
     plan_sampling_round,
 )
 from gaussqpe.simulator import SampleStream, SpectrumSpec, mixed_distribution
@@ -126,8 +127,7 @@ class TestRunGsee:
         """The batched path must equal round-by-round evaluation on the
         same stream, whatever the internal batch size."""
         dist = mixed_distribution(acceptance_spectrum, acceptance_plan)
-        est = run_gsee(acceptance_spectrum, None, 31, plan=acceptance_plan,
-                       dist=dist)
+        est = run_gsee(acceptance_plan, dist, 31)
         stream = SampleStream(dist, 31)
         round_plan = acceptance_plan.round_plan
         means = []
@@ -140,35 +140,40 @@ class TestRunGsee:
         )
 
     def test_recovers_ground_phase(self, acceptance_spectrum, acceptance_inputs):
-        est = run_gsee(acceptance_spectrum, acceptance_inputs, 7)
+        plan = plan_gsee(acceptance_inputs)
+        est = run_gsee(plan, mixed_distribution(acceptance_spectrum, plan), 7)
         assert abs(est.mu_hat - acceptance_spectrum.ground_phase) < 0.01
         assert est.n_left == 0
         assert est.M_used == len(est.per_round_means)
 
     def test_deterministic_in_seed(self, acceptance_spectrum, acceptance_plan):
         dist = mixed_distribution(acceptance_spectrum, acceptance_plan)
-        a = run_gsee(acceptance_spectrum, None, 123, plan=acceptance_plan,
-                     dist=dist)
-        b = run_gsee(acceptance_spectrum, None, 123, plan=acceptance_plan,
-                     dist=dist)
+        a = run_gsee(acceptance_plan, dist, 123)
+        b = run_gsee(acceptance_plan, dist, 123)
         assert a.mu_hat == b.mu_hat
         assert a.n_dark == b.n_dark
         np.testing.assert_array_equal(a.per_round_means, b.per_round_means)
 
-    def test_requires_inputs_or_plan(self, acceptance_spectrum):
-        with pytest.raises(ValueError):
-            run_gsee(acceptance_spectrum, None, 1)
+    def test_rejects_distribution_of_another_plan(self, acceptance_spectrum,
+                                                  acceptance_inputs, acceptance_plan):
+        """A distribution on another register would be wrapped mod the
+        plan's 2**q and give a confident wrong answer."""
+        deeper = plan_gsee(replace(acceptance_inputs, alpha=0.5))
+        assert deeper.round_plan.q != acceptance_plan.round_plan.q
+        dist = mixed_distribution(acceptance_spectrum, deeper)
+        with pytest.raises(ValueError, match=r"distribution is on 2\*\*14 bins"):
+            run_gsee(acceptance_plan, dist, 1)
 
     def test_negative_ground_phase(self, acceptance_plan):
         spec = SpectrumSpec(eigenphases=(-0.31, -0.1), overlaps_sq=(0.7, 0.3))
-        est = run_gsee(spec, None, 11, plan=acceptance_plan)
+        est = run_gsee(acceptance_plan, mixed_distribution(spec, acceptance_plan), 11)
         assert abs(est.mu_hat - (-0.31)) < 0.01
 
 
 class TestQpeBaseline:
     def test_recovers_on_grid_phase(self):
         spec = SpectrumSpec(eigenphases=(3.0 / 16.0,), overlaps_sq=(1.0,))
-        est = run_qpe_baseline(spec, 1.0 / 16.0, 0.01, 17)
+        est = run_qpe_baseline(spec, plan_qpe_baseline(1.0 / 16.0, 0.01), 17)
         assert est.q == 4
         assert est.theta_hat == pytest.approx(3.0 / 16.0)
         assert est.mode_residue == 3
@@ -177,12 +182,12 @@ class TestQpeBaseline:
     def test_half_bin_phase_lands_on_neighbor(self):
         theta = (3.0 + 0.5) / 16.0
         spec = SpectrumSpec(eigenphases=(theta,), overlaps_sq=(1.0,))
-        est = run_qpe_baseline(spec, 1.0 / 16.0, 0.01, 29)
+        est = run_qpe_baseline(spec, plan_qpe_baseline(1.0 / 16.0, 0.01), 29)
         assert abs(est.theta_hat - theta) <= 1.0 / 16.0
 
     def test_rejects_mixed_state(self, acceptance_spectrum):
         with pytest.raises(ValueError):
-            run_qpe_baseline(acceptance_spectrum, 0.0625, 0.1, 3)
+            run_qpe_baseline(acceptance_spectrum, plan_qpe_baseline(0.0625, 0.1), 3)
 
     def test_vote_ties_resolve_low(self, acceptance_spectrum):
         # Synthetic check of the tie rule through a two-spike stream.
@@ -200,5 +205,5 @@ def test_wraparound_mean_is_unbiased(acceptance_plan):
     """A ground phase just left of the seam keeps its basket coherent
     through the wrap."""
     spec = SpectrumSpec(eigenphases=(-0.42, -0.2), overlaps_sq=(0.8, 0.2))
-    est = run_gsee(spec, None, 13, plan=acceptance_plan)
+    est = run_gsee(acceptance_plan, mixed_distribution(spec, acceptance_plan), 13)
     assert abs(est.mu_hat - (-0.42)) < 0.01

@@ -5,7 +5,8 @@ everything from first principles with mpmath (quadrature for the Fourier
 moments, explicit dual series for aliasing, brute-force lattice sums).
 They check the live mpmath series (``fourier_moment``, ``dual_sums``,
 ``range_moments``, ``outside_moments``) that plans and the bound
-laboratory rest on, and the float64 reference oracles.
+laboratory rest on, against each other through Poisson duality, and
+against explicit float64 sums of ``g0``.
 """
 
 import math
@@ -16,16 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaussqpe.gaussian import (
-    GaussianParams,
     dual_sums,
     fourier_moment,
     g0,
-    lattice_moment,
-    normalization_N,
     outside_moments,
     range_moments,
     wrap_mod,
-    wrap_unit,
 )
 
 G0_DENSITY = 0.54712394277744595922
@@ -39,6 +36,9 @@ ALIAS2_ABS = 7.2295702044507510013e-13
 NORM_Q12_SIGMA08 = 0.999997983819057289
 TAIL_K11 = 3.05610811361783675206505e-5
 TAIL_K11_ERFC = 1.400538671645748985555505e-4
+
+# Centers in the central bin [-1/2, 1/2), where every lattice sum is evaluated.
+CENTERS = st.floats(min_value=-0.5, max_value=0.5, exclude_max=True)
 
 
 def test_density_matches_reference():
@@ -129,16 +129,10 @@ class TestWrap:
         assert -n / 2 <= r + (mu - mu) <= n / 2
         assert abs((k - mu) - r) % n == pytest.approx(0.0, abs=1e-6 * max(1.0, abs(k)))
 
-    @given(st.floats(min_value=-50.0, max_value=50.0))
-    def test_unit_wrap(self, mu):
-        r = wrap_unit(mu)
-        assert -0.5 <= r <= 0.5
-        assert (mu - r) == pytest.approx(round(mu - r), abs=1e-9)
-
 
 def test_normalization_reference():
-    params = GaussianParams(sigma=0.8, q=12, mu=0.3)
-    assert normalization_N(params) == pytest.approx(NORM_Q12_SIGMA08, rel=1e-13)
+    norm = range_moments(0.3, 0.8, -2048, 2047, 0)[0]
+    assert float(norm) == pytest.approx(NORM_Q12_SIGMA08, rel=1e-15)
     # The same register sum assembled the way the bound laboratory does:
     # 1 + signed aliasing defect - mass outside the register.
     with mpmath.workdps(30):
@@ -148,22 +142,21 @@ def test_normalization_reference():
 
 
 def test_normalization_near_one_for_wide_window():
-    params = GaussianParams(sigma=2.7573, q=12, mu=0.3)
-    assert normalization_N(params) == pytest.approx(1.0, abs=1e-14)
+    norm = range_moments(0.3, 2.7573, -2048, 2047, 0)[0]
+    assert float(norm) == pytest.approx(1.0, abs=1e-14)
 
 
 @given(
     st.floats(min_value=0.6, max_value=6.0),
-    st.floats(min_value=-0.5, max_value=0.5),
+    CENTERS,
 )
 @settings(max_examples=60)
 def test_normalization_sandwich(sigma, mu):
     """1 - tail-aliasing <= lattice sum <= 1 + aliasing, via Poisson duality."""
-    params = GaussianParams(sigma=sigma, q=14, mu=mu)
-    half = params.n_bins // 2
-    norm = normalization_N(params)
-    _, alias = dual_sums(0, params.mu_wrapped, sigma)
-    reg_tail = outside_moments(params.mu_wrapped, sigma, -half, half - 1, 0)[0]
+    half = 1 << 13
+    norm = range_moments(mu, sigma, -half, half - 1, 0)[0]
+    _, alias = dual_sums(0, mu, sigma)
+    reg_tail = outside_moments(mu, sigma, -half, half - 1, 0)[0]
     assert norm <= 1.0 + alias + 1e-15
     assert norm >= 1.0 - alias - reg_tail - 1e-15
 
@@ -176,14 +169,14 @@ def test_tail_mass_reference():
 
 @given(
     st.floats(min_value=0.7, max_value=5.0),
-    st.floats(min_value=-0.5, max_value=0.5),
+    CENTERS,
     st.integers(min_value=6, max_value=60),
 )
 @settings(max_examples=60)
 def test_tail_chain(sigma, mu, K):
     """Tail <= erfc ceiling everywhere, and erfc <= exp ceiling in regime
     (sigma <= K - 1/2)."""
-    tail = outside_moments(wrap_unit(mu), sigma, -K, K, 0)[0]
+    tail = outside_moments(mu, sigma, -K, K, 0)[0]
     erfc_bound = mpmath.erfc((K - 0.5) / (math.sqrt(2.0) * sigma))
     exp_bound = mpmath.exp(-((K - 0.5) ** 2) / (2.0 * sigma**2))
     assert tail >= 0
@@ -205,23 +198,24 @@ def test_aliasing_reference_second_moment():
 
 
 def test_aliasing_closes_poisson_identity():
-    """Lattice sum minus continuous moment equals the signed dual series."""
-    params = GaussianParams(sigma=0.9, q=12, mu=0.2)
-    for m in range(3):
-        lattice = lattice_moment(m, params)
-        continuous = float(fourier_moment(m, 0, 0.2, 0.9).real)
-        signed, _ = dual_sums(m, 0.2, 0.9)
-        assert lattice - continuous == pytest.approx(float(signed), rel=1e-6, abs=1e-15)
+    """Lattice sum minus continuous moment equals the signed dual series,
+    to the caller's working precision even for float arguments."""
+    with mpmath.workdps(30):
+        lattice = range_moments(0.2, 0.9, None, None, 4)
+        for m in range(5):
+            continuous = fourier_moment(m, 0, 0.2, 0.9).real
+            signed, _ = dual_sums(m, 0.2, 0.9)
+            assert abs((lattice[m] - continuous) / signed - 1) <= 1e-20
 
 
 @given(
     st.integers(min_value=0, max_value=4),
     st.floats(min_value=0.8, max_value=4.0),
-    st.floats(min_value=-0.5, max_value=0.5),
+    CENTERS,
 )
 @settings(max_examples=60)
 def test_aliasing_bound_dominates(m, sigma, mu):
-    signed, absolute = dual_sums(m, wrap_unit(mu), sigma)
+    signed, absolute = dual_sums(m, mu, sigma)
     assert abs(signed) <= absolute * (1.0 + 1e-12)
 
 
@@ -233,18 +227,6 @@ def test_window_mass_matches_direct_sum():
         assert float(series[j]) == pytest.approx(direct, rel=1e-14)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        GaussianParams(sigma=-1.0, q=10, mu=0.0)
-    with pytest.raises(ValueError):
-        GaussianParams(sigma=1.0, q=0, mu=0.0)
-    with pytest.raises(ValueError):
-        GaussianParams(sigma=1.0, q=10, mu=math.inf)
-
-
-def test_params_wrapped_center():
-    # Integer translations leave every lattice sum unchanged, so the
-    # stored center reduces to its sub-bin offset.
-    params = GaussianParams(sigma=1.0, q=4, mu=17.25)
-    assert params.n_bins == 16
-    assert params.mu_wrapped == 0.25
+def test_empty_range_sums_to_zero():
+    assert range_moments(0, 1, 3, 2, 0) == [0]
+    assert range_moments(0.4, 2.5, 0, -1, 2) == [0, 0, 0]

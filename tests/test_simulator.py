@@ -22,7 +22,6 @@ from gaussqpe.simulator import (
     SpectrumSpec,
     distribution_from_window,
     eigendecompose,
-    eigenstate_distribution,
     gaussian_window,
     mixed_distribution,
     rectangular_window,
@@ -97,7 +96,7 @@ def test_reflection_symmetry(q, theta):
 def test_peak_and_width_track_the_plan():
     plan = plan_sampling_round(0.01, 0.5, 0.15, 1, 0.005)
     n = plan.n_bins
-    probs = eigenstate_distribution(0.1, plan)
+    probs = distribution_from_window(gaussian_window(plan.q, plan.sigma_tilde), 0.1)
     center = 0.1 * n
     offsets = gaussian.wrap_mod(np.arange(n, dtype=np.float64), center, plan.q)
     mean = float((probs * offsets).sum())
@@ -113,11 +112,11 @@ def test_on_grid_distribution_is_wrapped_gaussian():
     plan = plan_sampling_round(0.01, 0.5, 0.15, 1, 0.005)
     n = plan.n_bins
     z0 = 410
-    probs = eigenstate_distribution(z0 / n, plan)
-    params = gaussian.GaussianParams(sigma=plan.sigma_bins, q=plan.q, mu=0.0)
-    norm = gaussian.normalization_N(params)
+    probs = distribution_from_window(gaussian_window(plan.q, plan.sigma_tilde), z0 / n)
     offsets = gaussian.wrap_mod(np.arange(n, dtype=np.float64), float(z0), plan.q)
-    reference = gaussian.g0(offsets, 0.0, plan.sigma_bins) / norm
+    density = gaussian.g0(offsets, 0.0, plan.sigma_bins)
+    # Normalized over the register, one term per bin.
+    reference = density / float(np.sum(density))
     near = np.abs(offsets) <= 8.0 * plan.sigma_bins
     np.testing.assert_allclose(probs[near], reference[near], rtol=1e-9)
     assert float(np.abs(probs - reference).sum()) < 1e-12
@@ -145,6 +144,11 @@ class TestSpectrumSpec:
             SpectrumSpec(eigenphases=(0.5,), overlaps_sq=(1.0,))
         with pytest.raises(ValueError):
             SpectrumSpec(eigenphases=(0.1, 0.2), overlaps_sq=(1.1, -0.1))
+        # Bools and strings are not coerced to floats.
+        with pytest.raises(ValueError, match="eigenphases entry must be a real number"):
+            SpectrumSpec(eigenphases=("-0.2", "0.15"), overlaps_sq=(0.6, 0.4))
+        with pytest.raises(ValueError, match="overlaps_sq entry must be a real number"):
+            SpectrumSpec(eigenphases=(-0.2, 0.15), overlaps_sq=(True, False))
 
     def test_roundtrip(self):
         spec = SpectrumSpec(eigenphases=(-0.2, 0.15), overlaps_sq=(0.6, 0.4))
@@ -154,19 +158,19 @@ class TestSpectrumSpec:
 
     def test_validate_for_plan(self, acceptance_plan):
         SpectrumSpec(eigenphases=(-0.2, -0.05), overlaps_sq=(0.6, 0.4)
-                     ).validate_for_plan(acceptance_plan)
+                     ).validate_for_plan(acceptance_plan.round_plan)
         low_overlap = SpectrumSpec(eigenphases=(-0.2, -0.05),
                                    overlaps_sq=(0.4, 0.6))
         with pytest.raises(SpectrumPlanMismatch):
-            low_overlap.validate_for_plan(acceptance_plan)
+            low_overlap.validate_for_plan(acceptance_plan.round_plan)
         narrow_gap = SpectrumSpec(eigenphases=(-0.2, -0.15),
                                   overlaps_sq=(0.6, 0.4))
         with pytest.raises(SpectrumPlanMismatch):
-            narrow_gap.validate_for_plan(acceptance_plan)
+            narrow_gap.validate_for_plan(acceptance_plan.round_plan)
         near_seam = SpectrumSpec(eigenphases=(-0.49, -0.2),
                                  overlaps_sq=(0.6, 0.4))
         with pytest.raises(SpectrumPlanMismatch):
-            near_seam.validate_for_plan(acceptance_plan)
+            near_seam.validate_for_plan(acceptance_plan.round_plan)
 
 
 class TestEigendecompose:
