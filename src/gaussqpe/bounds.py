@@ -15,6 +15,16 @@ terms summed until they stop mattering at the working precision), tails
 and cross terms through edge-anchored loops, and no path ever forms
 1 + tiny and subtracts 1 back out.
 
+The window perturbation d_s (the polluted minus the ideal normalized
+window, per sign s) needs no walk over the window's bins. It has
+moments sum n^j d_s = (pollution moment - P_s * window moment of the
+ground) / (1 + s0_s), all held by the model, since the cross term
+sqrt(g g1) is a constant times the midpoint Gaussian. Its l1 norm
+follows from its sign pattern: d_s / g is a quadratic in
+x = c_mix sqrt(g1 / g), and x is exp(linear in n), so d_s changes sign
+at most twice on the window and at bins known in closed form; l1 is
+the sum of |sum of d_s| over the at most three segments between.
+
 Orientation convention: every case satisfies ``exact <= bound`` when it
 holds. For lower-bound cases (hit rate) the analytic lower bound goes
 in ``exact`` and the measured quantity in ``bound``; ``params`` carries
@@ -31,7 +41,7 @@ import mpmath
 import numpy as np
 
 from . import estimation, simulator
-from .gaussian import dual_sums, fourier_moment, gauss_mp, outside_moments, range_moments
+from .gaussian import dual_sums, fourier_moment, outside_moments, range_moments
 from .planner import (
     _PREDICATE_CEILING,
     DEFAULT_INTERP_COEFF,
@@ -125,14 +135,21 @@ class BoundReport:
         return rows
 
     def summary(self) -> dict[str, Any]:
+        """Counts per kind, and the worst finite margin_log10 overall and
+        per kind; a kind whose margins are all 0 or negative has no entry
+        in ``worst_margin_log10_by_kind``."""
         kinds: dict[str, int] = {}
+        worst: dict[str, float] = {}
         for c in self.cases:
             kinds[c.kind] = kinds.get(c.kind, 0) + 1
+            if math.isfinite(c.margin_log10):
+                worst[c.kind] = min(worst.get(c.kind, math.inf), c.margin_log10)
         return {
             "n_cases": self.n_cases,
             "n_violations": self.n_violations,
             "all_hold": self.all_hold,
             "worst_margin_log10": self.worst_margin_log10,
+            "worst_margin_log10_by_kind": worst,
             "kinds": kinds,
         }
 
@@ -269,27 +286,70 @@ class _TwoStateModel:
         d = self.alias_signed[j] - self.tail_mom[j] + self.poll_mom(s, j)
         return abs(self.G0m[j] * s0 - d) / (1 + s0)
 
-    def window_vector_terms(self, m_max: int):
-        """Per-bin normalized |h|^2 - |f|^2 data for both signs, in one
-        walk over the window: {s: (l1 norm, moment sums)}."""
+    def window_vector_terms(self):
+        """Normalized |h|^2 - |f|^2 on the window, for both signs:
+        {s: (l1 norm, [sum of n^j d_s(n) for j = 0..m])}.
+
+        Per bin, d_s = (2 s f e + e^2 - g P_s) / (1 + s0_s) with f = sqrt(g),
+        e = c_mix sqrt(g1) and P_s = poll0_s / F0. As sqrt(g g1) is xfac
+        times the midpoint Gaussian, each moment is
+        (poll_mom(s, j) - P_s W_j) / (1 + s0_s) with W_j the window moments
+        of g. The order-0 moment vanishes identically (W_0 = F0), so what
+        it holds is rounding. The l1 norm comes from the sign changes of
+        d_s: d_s / g = x^2 + 2 s x - P_s with x = c_mix sqrt(g1 / g)
+        monotone in n, so at most two cuts split the window into segments
+        of one sign each, and l1 sums |segment sum| over them.
+        """
         F0 = 1 + self.alias_signed[0] - self.T
-        signs = (-1, +1)
-        s0 = {s: self.fpol_sq_minus_1(s) for s in signs}
-        poll0 = {s: self.poll_mom(s, 0) for s in signs}
-        l1 = {s: mpmath.mpf(0) for s in signs}
-        mom = {s: [mpmath.mpf(0)] * (m_max + 1) for s in signs}
-        for n in range(-self.K, self.K + 1):
-            g = gauss_mp(n, self.mu, self.sigma)
-            f = mpmath.sqrt(g)
-            e = self.c_mix * mpmath.sqrt(gauss_mp(n, self.mu1, self.sigma))
-            for s in signs:
-                d = (2 * f * (s * e) + e**2 - g * poll0[s] / F0) / (1 + s0[s])
-                l1[s] += abs(d)
-                nj = mpmath.mpf(1)
-                for j in range(m_max + 1):
-                    mom[s][j] += nj * d
-                    nj *= n
-        return {s: (l1[s], mom[s]) for s in signs}
+        # Window moments of g: full lattice (Poisson) minus the tails.
+        W = [g + a - t for g, a, t in zip(self.G0m, self.alias_signed, self.tail_mom)]
+        terms = {}
+        for s in (-1, +1):
+            scale = 1 + self.fpol_sq_minus_1(s)
+            P = self.poll_mom(s, 0) / F0
+            mom = [(self.poll_mom(s, j) - P * W[j]) / scale for j in range(self.m + 1)]
+            # Sums of d_s over [b, K] for each cut b, opened by the total.
+            sums = [mom[0]]
+            for b in self._sign_cuts(s, P):
+                mid = range_moments(self.mubar, self.sigma, b, self.K, 0)[0]
+                cont = range_moments(self.mu1, self.sigma, b, self.K, 0)[0]
+                ground = range_moments(self.mu, self.sigma, b, self.K, 0)[0]
+                sums.append(
+                    (2 * s * self.c_mix * self.xfac * mid + self.c_mix**2 * cont - P * ground)
+                    / scale
+                )
+            sums.append(mpmath.mpf(0))
+            l1 = mpmath.fsum(abs(hi - lo) for hi, lo in zip(sums, sums[1:]))
+            terms[s] = (l1, mom)
+        return terms
+
+    def _sign_cuts(self, s: int, P: mpmath.mpf) -> list[int]:
+        """Ascending window bins b in (-K, K] where d_s(b - 1) and d_s(b)
+        differ in sign: one per positive root of x^2 + 2 s x - P."""
+        if self.c_mix == 0:
+            return []
+        slope = self.ND / (2 * self.sigma**2)  # ln x is linear in n
+
+        def quad(n: int) -> mpmath.mpf:
+            x = self.c_mix * mpmath.exp(slope * (n - self.mubar))
+            return x * x + 2 * s * x - P
+
+        # The textbook root -s + sqrt(1 + P) rounds to 0 once |P| is below
+        # the working precision; s P / (1 + sqrt(1 + P)) does not.
+        root = mpmath.sqrt(1 + P)
+        cuts = []
+        for r in [s * P / (1 + root)] + ([1 + root] if s < 0 else []):
+            if r <= 0:
+                continue
+            b = int(mpmath.floor(self.mubar + mpmath.log(r / self.c_mix) / slope))
+            # Bin b sits left of the root unless the root lies within
+            # rounding of it; the quadratic's sign there decides. Left of
+            # the root it is negative if it rises through r, else positive.
+            if (quad(b) < 0) == (r + s > 0):
+                b += 1
+            if -self.K < b <= self.K:
+                cuts.append(b)
+        return cuts
 
     # Single-draw probabilities of the coherent mixture.
 
@@ -478,11 +538,10 @@ def _window_functional_cases(
     plan = model.plan
     K = model.K
     orders = sorted({0, plan.m})
-    m_max = max(orders)
     delta2 = 1 / mpmath.pi
 
     best: dict[int, tuple[mpmath.mpf, mpmath.mpf]] = {}
-    for l1, mom in model.window_vector_terms(m_max).values():
+    for l1, mom in model.window_vector_terms().values():
         for j in orders:
             exact = abs(mom[j])
             if j not in best or exact > best[j][0]:

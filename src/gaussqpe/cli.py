@@ -48,6 +48,7 @@ from .simulator import (
 __all__ = ["main"]
 
 _MODES = ("plan", "spectrum", "gsee", "qpe", "bounds", "sweep")
+_PLANNING_MODES = ("plan", "spectrum", "gsee", "sweep")
 _DEFAULT_SEED = 1
 _DEFAULT_ALPHAS = (0.0, 0.5, 1.0)
 
@@ -153,14 +154,35 @@ def _spectrum_from_config(config: dict[str, Any]) -> SpectrumSpec:
     return SpectrumSpec.from_dict(node)
 
 
-def _inputs_from_config(config: dict[str, Any], alpha: float | None = None) -> PlanInputs:
+def _inputs_from_config(config: dict[str, Any], alpha: float) -> PlanInputs:
     node = config.get("inputs")
     if node is None:
         raise ValueError("config is missing the 'inputs' section")
-    kwargs = dict(node)
-    if alpha is not None:
-        kwargs["alpha"] = alpha
-    return PlanInputs(**kwargs)
+    return PlanInputs(**{**node, "alpha": alpha})
+
+
+def _alpha_values(args: argparse.Namespace, config: dict[str, Any]) -> list[float]:
+    if args.alpha_list is not None:
+        alphas = []
+        for tok in args.alpha_list.split(","):
+            if not tok.strip():
+                continue
+            try:
+                value = float(tok)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"--alpha-list entries must be finite numbers, got {tok!r}")
+            alphas.append(value)
+    elif "alpha_list" in config:
+        alphas = [_strict_float(a, "alpha_list entry") for a in config["alpha_list"]]
+    elif args.mode == "sweep":
+        alphas = list(_DEFAULT_ALPHAS)
+    else:
+        alphas = [_strict_float(config.get("inputs", {}).get("alpha", 0.0), "inputs.alpha")]
+    if not alphas:
+        raise ValueError("alpha list is empty; give at least one interpolation exponent")
+    return alphas
 
 
 def _echo_config(out_dir: str, args: argparse.Namespace, config: dict[str, Any]) -> None:
@@ -182,9 +204,7 @@ def _plan_rows(plans: Sequence[GseePlan]) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_plan(args, config) -> int:
-    plans = [
-        plan_gsee(_inputs_from_config(config, alpha)) for alpha in args.alpha_values
-    ]
+    plans = [plan_gsee(inputs) for inputs in args.plan_inputs]
     names, rows = _plan_rows(plans)
     _write_csv(os.path.join(args.out, "plans.csv"), names, rows)
     with open(os.path.join(args.out, "plan.txt"), "w") as fh:
@@ -205,7 +225,7 @@ def _cmd_plan(args, config) -> int:
 
 def _cmd_spectrum(args, config) -> int:
     spec = _spectrum_from_config(config)
-    plan = plan_gsee(_inputs_from_config(config, args.alpha_values[0]))
+    plan = plan_gsee(args.plan_inputs[0])
     dist = mixed_distribution(spec, plan)
     n = dist.n_bins
     fieldnames = ["z", "P_mixed"] + [f"P_{j}" for j in range(spec.J)]
@@ -222,8 +242,7 @@ def _cmd_spectrum(args, config) -> int:
     return 0
 
 
-def _gsee_one_alpha(spec, config, alpha, runs, children, threads):
-    inputs = _inputs_from_config(config, alpha)
+def _gsee_one_alpha(spec, inputs, runs, children, threads):
     plan = plan_gsee(inputs)
     dist = mixed_distribution(spec, plan)
 
@@ -249,11 +268,10 @@ def _cmd_gsee(args, config, sweep: bool = False) -> int:
     rows = []
     plans = []
     summary_alphas = {}
-    for a_idx, alpha in enumerate(alphas):
+    for a_idx, (alpha, inputs) in enumerate(zip(alphas, args.plan_inputs)):
         plan, estimates = _gsee_one_alpha(
             spec,
-            config,
-            alpha,
+            inputs,
             args.runs,
             children[a_idx * args.runs : (a_idx + 1) * args.runs],
             args.threads,
@@ -441,17 +459,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError(f"runs must be positive, got {args.runs}")
         if args.threads < 0:
             raise ValueError(f"threads must be nonnegative (0 = auto), got {args.threads}")
-        if args.alpha_list is not None:
-            alphas = [float(tok) for tok in args.alpha_list.split(",") if tok.strip()]
-        elif "alpha_list" in config:
-            alphas = [_strict_float(a, "alpha_list entry") for a in config["alpha_list"]]
-        elif args.mode == "sweep":
-            alphas = list(_DEFAULT_ALPHAS)
-        else:
-            alphas = [_strict_float(config.get("inputs", {}).get("alpha", 0.0), "inputs.alpha")]
-        if not alphas:
-            raise ValueError("alpha list is empty; give at least one interpolation exponent")
-        args.alpha_values = alphas
+        args.alpha_values = _alpha_values(args, config)
+        # Checked before --out is touched: an input error writes nothing.
+        if args.mode in _PLANNING_MODES:
+            args.plan_inputs = [_inputs_from_config(config, a) for a in args.alpha_values]
 
         os.makedirs(args.out, exist_ok=True)
         _echo_config(args.out, args, config)

@@ -158,16 +158,34 @@ class SpectrumSpec:
             )
 
 
+def _check_number_entries(value: Any, name: str) -> None:
+    """Raise ``ValueError`` unless every entry of the nested array is a
+    number; numpy would coerce str, bool and object entries silently."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _check_number_entries(item, name)
+        return
+    if isinstance(value, np.ndarray):
+        ok = value.dtype.kind in "iufc"
+    else:
+        ok = isinstance(value, (int, float, complex, np.number)) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"{name} entries must be numbers, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DenseHamiltonian:
     """Hermitian matrix (phases as eigenvalues, in turns) plus a unit
     initial vector. Dimension is capped; this path exists to exercise the
-    pipeline end to end, not to scale."""
+    pipeline end to end, not to scale. Entries must be numbers: strings,
+    bools and objects are refused, not coerced."""
 
     matrix: np.ndarray
     initial: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_number_entries(self.matrix, "matrix")
+        _check_number_entries(self.initial, "initial vector")
         H = np.array(self.matrix, dtype=np.complex128)
         v = np.array(self.initial, dtype=np.complex128)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:

@@ -31,6 +31,11 @@ def plan():
 
 
 @pytest.fixture(scope="module")
+def plan_m2():
+    return plan_sampling_round(0.01, 0.5, 0.1, 2, DEFAULT_EPS_REL)
+
+
+@pytest.fixture(scope="module")
 def cases(plan):
     return evaluate_plan_cases(plan, mu_centers=(-0.5, 0.0, 0.25))
 
@@ -138,10 +143,10 @@ def test_window_functional_inequality_on_random_vectors(plan, rng):
             assert functional <= bound_factor * l1 * (1.0 + 1e-12)
 
 
-def test_window_vector_terms_shape_and_scale(plan):
+def test_window_vector_terms_shape_and_scale(plan_m2):
     with mpmath.workdps(45):
-        model = bounds._TwoStateModel(plan, 0.0)
-        terms = model.window_vector_terms(2)
+        model = bounds._TwoStateModel(plan_m2, 0.0)
+        terms = model.window_vector_terms()
         assert sorted(terms) == [-1, +1]
         for l1, moments in terms.values():
             # The perturbed window deviates from the ideal one, so the l1
@@ -153,21 +158,47 @@ def test_window_vector_terms_shape_and_scale(plan):
                 assert abs(moments[j]) <= (2 * model.K + 1) ** j * l1
 
 
-@pytest.mark.parametrize("K, gap_bins", [(None, None), (10, 24)])
-def test_window_terms_and_fail_probs_against_direct_series(plan, K, gap_bins):
+# (K, gap in bins, center, eta override, sign changes of d for s = -1, +1).
+# The planned window has one cut per sign. Squeezing the states 6 or 12
+# bins apart lets the contaminant amplitude pass twice the ground's near
+# the window's right edge, which gives s = -1 a second cut. At eta = 1
+# the perturbation vanishes bin by bin.
+_WINDOW_MODELS = [
+    pytest.param(None, None, 0.25, None, (1, 1), id="None-None"),
+    pytest.param(10, 24, 0.25, None, (1, 1), id="10-24"),
+    *(
+        pytest.param(6, 6, mu, None, (2, 1), id=f"6-6-mu{mu}")
+        for mu in (-0.5, 0.0, 0.25, 0.49)
+    ),
+    pytest.param(10, 12, -0.5, None, (1, 1), id="10-12-mu-0.5"),
+    *(
+        pytest.param(10, 12, mu, None, (2, 1), id=f"10-12-mu{mu}")
+        for mu in (0.0, 0.25, 0.49)
+    ),
+    pytest.param(None, None, 0.25, 1.0, (0, 0), id="eta1"),
+]
+
+
+@pytest.mark.parametrize("K, gap_bins, mu_center, eta, changes", _WINDOW_MODELS)
+def test_window_terms_and_fail_probs_against_direct_series(
+    plan_m2, K, gap_bins, mu_center, eta, changes
+):
     """Per-sign window perturbation and region probabilities, rebuilt
     from bin amplitudes with plain fsum series over explicit bin ranges.
 
     The planned model keeps tails and cross terms far below 45 digits;
-    the squeezed one (window of 10 bins, states 24 bins apart) makes every
-    term, and so each sign, visible at that precision."""
+    the squeezed ones (half-widths of 6 and 10 bins, states 6 to 24 bins
+    apart) make every term, and so each sign, visible at that precision."""
+    plan = plan_m2
     if K is not None:
         plan = dataclasses.replace(plan, K=K, Delta_work=gap_bins / plan.n_bins)
+    if eta is not None:
+        plan = dataclasses.replace(plan, eta=eta)
     tol = mpmath.mpf("1e-35")
     with mpmath.workdps(45):
-        model = bounds._TwoStateModel(plan, 0.25)
+        model = bounds._TwoStateModel(plan, mu_center)
         sigma, K = mpmath.mpf(plan.sigma_bins), plan.K
-        mu = mpmath.mpf(0.25)
+        mu = mpmath.mpf(mu_center)
         ND = mpmath.mpf(plan.Delta_work) * plan.n_bins
         mu1 = mu + ND
         span = int(mpmath.ceil(60 * sigma))
@@ -182,12 +213,18 @@ def test_window_terms_and_fail_probs_against_direct_series(plan, K, gap_bins):
         window = range(-K, K + 1)
         g = {n: gauss(n, mu) for n in window}
         e = {n: model.c_mix * mpmath.sqrt(gauss(n, mu1)) for n in window}
-        terms = model.window_vector_terms(2)
-        for s in (-1, +1):
+        terms = model.window_vector_terms()
+        for s, n_changes in zip((-1, +1), changes):
             p = {n: 2 * s * mpmath.sqrt(g[n]) * e[n] + e[n] ** 2 for n in window}
             F, P = mpmath.fsum(g.values()), mpmath.fsum(p.values())
             d = {n: (p[n] * F - g[n] * P) / (F * (F + P)) for n in window}
+            signs = [mpmath.sign(d[n]) for n in window if d[n] != 0]
+            assert sum(a != b for a, b in zip(signs, signs[1:])) == n_changes
             l1, moments = terms[s]
+            assert len(moments) == 3
+            if eta == 1.0:
+                assert l1 == 0 and all(v == 0 for v in moments)
+                continue
             ref_l1 = mpmath.fsum(abs(v) for v in d.values())
             assert abs(l1 - ref_l1) <= ref_l1 * tol
             for j in (0, 1, 2):

@@ -151,6 +151,15 @@ def test_bounds_mode_reduced_grid(tmp_path):
     summary = read_json(os.path.join(out, "summary.json"))
     assert summary["n_violations"] == 0
     assert "mc_round_failure" not in summary["kinds"]
+    # The per-kind worst margins are the minima of the finite CSV column.
+    worst = {}
+    for row in rows:
+        margin = float(row["margin_log10"])
+        if math.isfinite(margin):
+            worst[row["kind"]] = min(worst.get(row["kind"], math.inf), margin)
+    assert summary["worst_margin_log10_by_kind"] == worst
+    assert min(worst.values()) == summary["worst_margin_log10"]
+    assert set(worst) <= set(summary["kinds"])
     # The default grid has at least one case per (plan, center) pair.
     default_pairs = math.prod(
         len(axis)
@@ -297,6 +306,25 @@ def test_empty_alpha_list_is_named_error(tmp_path, capsys, mode, source):
     assert rc == 1
     err = capsys.readouterr().err
     assert "alpha list is empty" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("mode", ["plan", "gsee"])
+@pytest.mark.parametrize(
+    "alphas, message",
+    [
+        ("0.5,inf", "--alpha-list entries must be finite numbers, got 'inf'"),
+        ("0.5,abc", "--alpha-list entries must be finite numbers, got 'abc'"),
+        ("0.5,1.5", "alpha must lie in [0, 1], got 1.5"),
+    ],
+    ids=["inf", "abc", "range"],
+)
+def test_bad_plan_inputs_leave_out_untouched(tmp_path, capsys, mode, alphas, message):
+    rc, out = run(tmp_path, ["--mode", mode, "--alpha-list", alphas])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 

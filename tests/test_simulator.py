@@ -220,6 +220,22 @@ class TestEigendecompose:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "matrix, initial, name",
+        [
+            ([["-0.2", 0], [0, "0.15"]], [1.0, 0.0], "matrix"),
+            ([[-0.2, 0], [0, 0.15]], [True, 0], "initial vector"),
+            (np.array([[-0.2, 0], [0, 0.15]], dtype=object), [1.0, 0.0], "matrix"),
+            (np.eye(2, dtype=bool), [1.0, 0.0], "matrix"),
+            ([[-0.2, 0], [0, 0.15]], np.array(["1", "0"]), "initial vector"),
+        ],
+        ids=["str-matrix", "bool-initial", "object-matrix", "bool-matrix", "str-initial"],
+    )
+    def test_rejects_non_numeric_entries(self, matrix, initial, name):
+        # numpy would read these as numbers: "-0.2" -> -0.2, True -> 1.
+        with pytest.raises(ValueError, match=f"{name} entries must be numbers"):
+            DenseHamiltonian(matrix=matrix, initial=initial)
+
 
 class TestMixedDistribution:
     def test_mixture_is_weighted_sum(self, acceptance_spectrum, acceptance_plan):
