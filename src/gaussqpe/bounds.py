@@ -480,10 +480,12 @@ def _hit_rate_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundCa
     # The measured hit rate, at the adverse (destructive) sign.
     p0_worst = min(model.p0_tilde(-1), model.p0_tilde(+1))
     lower = eta_mp * (1 - w) / (1 + v)
-    # Margin assembled in tiny space: both sides are eta * (1 + small).
+    # Margin assembled in tiny space: both sides are eta * (1 + small), so
+    # (1 + s0)(1 + v) - (1 - w)(1 + t0) is expanded and the 1s cancel
+    # exactly instead of in rounding.
     s0 = min(model.fpol_sq_minus_1(-1), model.fpol_sq_minus_1(+1))
     t0 = model.norm0_minus_1
-    numerator = (1 + s0) * (1 + v) - (1 - w) * (1 + t0)
+    numerator = s0 + v + s0 * v + w - t0 + w * t0
     margin = eta_mp * numerator / (model.N0 * (1 + v))
     params = {**base, "orientation": "lower"}
     floor = mpmath.mpf("0.375") * eta_mp

@@ -51,6 +51,8 @@ _MODES = ("plan", "spectrum", "gsee", "qpe", "bounds", "sweep")
 _PLANNING_MODES = ("plan", "spectrum", "gsee", "sweep")
 _DEFAULT_SEED = 1
 _DEFAULT_ALPHAS = (0.0, 0.5, 1.0)
+# EnergyEstimate.diagnostics written as estimates.csv columns, in order.
+_DIAGNOSTICS = ("basket_fraction", "dark_fraction", "median_anchor")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -296,6 +298,7 @@ def _cmd_gsee(args, config, sweep: bool = False) -> int:
                     "err": err,
                     "n_dark": est.n_dark,
                     "n_left": est.n_left,
+                    **{name: est.diagnostics[name] for name in _DIAGNOSTICS},
                 }
             )
         n = len(estimates)
@@ -317,7 +320,9 @@ def _cmd_gsee(args, config, sweep: bool = False) -> int:
             f"max |err| = {max(errs):.3e} (target {plan.inputs.epsilon:g})"
         )
 
-    fieldnames = ["run_id", "alpha", "q", "M", "M0", "mu_hat", "err", "n_dark", "n_left"]
+    fieldnames = [
+        "run_id", "alpha", "q", "M", "M0", "mu_hat", "err", "n_dark", "n_left", *_DIAGNOSTICS
+    ]
     _write_csv(os.path.join(args.out, "estimates.csv"), fieldnames, rows)
     names, plan_rows = _plan_rows(plans)
     _write_csv(os.path.join(args.out, "plans.csv"), names, plan_rows)

@@ -8,6 +8,33 @@ anchor rule is what makes the round robust to excited-state mass: any
 contaminant sits at least a working gap to the right of the ground bin,
 so a basket anchored on the left edge never reaches it.
 
+``run_gsee`` never draws the M0 outcomes. The round mean reads four
+numbers only: the anchor a, the basket count and sum, and the dark count
+(draws in the ``dark_bins`` just right of the window). ``_draw_rounds``
+samples them exactly, in residue order, with C(r) the mass at residues
+<= r:
+
+1. The anchor is the minimum of M0 draws: P(a >= r) = (1 - C(r-1))**M0,
+   inverted with one search of the CDF.
+2. Given a, every draw lies at a residue >= a and at least one lies on
+   a, so the anchor bin's count is Bin(M0, p_a / (1 - C(a-1))) given
+   >= 1. It is drawn as the index J of the first hit (a geometric
+   truncated at M0) plus Bin(M0 - J, p_a / (1 - C(a-1))) for the rest.
+3. The other draws are independent on the residues > a, with
+   probabilities p_r / (1 - C(a)); one multinomial over the window and
+   dark bins, plus a remainder cell, gives their counts (the
+   conditional-binomial method; Devroye, Non-Uniform Random Variate
+   Generation, 1986). Residues past the seam at +2**(q-1) do not exist,
+   so their cells are empty.
+
+The cost is O(M * (2K + dark_bins)) instead of O(M * M0). Rounds are
+drawn in blocks of ``_ROUND_BLOCK``, and the block fixes the order in
+which a run consumes its Philox generator: results are deterministic in
+(plan, distribution, seed), and changing the block changes the bytes.
+``basket_from_outcomes`` and ``run_sampling_round`` still window raw
+outcomes: the baseline, the bound lab's Monte Carlo shadow and the tests
+of ``run_gsee``'s law use them.
+
 The rectangular-window majority-vote baseline lives here too, sized by
 ``planner.plan_qpe_baseline``.
 """
@@ -40,8 +67,12 @@ __all__ = [
 ]
 
 _OVERLAP_ONE_TOL = 1e-12
-# Draws per vectorized batch; keeps peak memory near 8 MB of int64.
-_BATCH_DRAWS = 1 << 20
+# Rounds per block of the round sampler. The block fixes the order in
+# which a run consumes its generator, so changing it changes the bytes.
+# At 32 rounds a block's (rounds, 2K + dark_bins) temporaries stay near
+# 160 kB on the acceptance plan and are reused from the heap; at 256 they
+# are 1.25 MB each, and glibc maps and faults them afresh every block.
+_ROUND_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,23 +131,6 @@ def _residues(outcomes: np.ndarray, q: int) -> np.ndarray:
     return outcomes - (1 << q) * (outcomes > (1 << (q - 1)))
 
 
-def _window_rounds(residues: np.ndarray, two_K: int, dark_bins: int):
-    """Window each row of a (rows, M0) residue block on its leftmost residue.
-
-    Returns the per-row anchors, the basket mask, basket counts and sums,
-    and the total dark count: samples in the ``dark_bins``-wide segment
-    just right of the window, a diagnostic for mass that a correctly
-    sized plan keeps empty.
-    """
-    anchors = residues.min(axis=1)
-    edge = (anchors + two_K)[:, np.newaxis]
-    mask = residues <= edge
-    counts = mask.sum(axis=1)
-    sums = np.where(mask, residues, 0).sum(axis=1)
-    n_dark = int(np.count_nonzero(~mask & (residues <= edge + dark_bins)))
-    return anchors, mask, counts, sums, n_dark
-
-
 def basket_from_outcomes(outcomes: np.ndarray, plan: PlanParams) -> Basket:
     """Wrap raw register outcomes and anchor the window on the leftmost
     residue. Outcomes must be integers in [0, 2**q)."""
@@ -129,14 +143,16 @@ def basket_from_outcomes(outcomes: np.ndarray, plan: PlanParams) -> Basket:
         raise ValueError(f"outcomes must lie in [0, {plan.n_bins})")
     outcomes = outcomes.astype(np.int64, copy=False)
     residues = _residues(outcomes, plan.q)
-    anchors, mask, _, _, n_dark = _window_rounds(
-        residues[np.newaxis, :], plan.two_K, plan.dark_bins
-    )
+    anchor = int(residues.min())
+    edge = anchor + plan.two_K
+    mask = residues <= edge
     return Basket(
-        anchor=int(anchors[0]),
-        members=residues[mask[0]],
+        anchor=anchor,
+        members=residues[mask],
         round_samples=int(residues.size),
-        n_dark=n_dark,
+        # Samples in the dark_bins-wide segment just right of the window,
+        # a diagnostic for mass that a correctly sized plan keeps empty.
+        n_dark=int(np.count_nonzero(~mask & (residues <= edge + plan.dark_bins))),
     )
 
 
@@ -161,6 +177,92 @@ def moment_from_basket(
     )
 
 
+def _draw_rounds(
+    rng: np.random.Generator,
+    dist: OutcomeDistribution,
+    rounds: int,
+    M0: int,
+    two_K: int,
+    dark_bins: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the sufficient statistics of ``rounds`` rounds of ``M0`` draws.
+
+    Returns int64 arrays of per-round anchors, basket counts, basket sums
+    and dark counts, with the joint law of windowing M0 independent draws
+    from ``dist`` (see the module docstring). Rounds are drawn in blocks
+    of ``_ROUND_BLOCK``; each block takes its anchor uniforms, its
+    first-hit uniforms, its binomials and its multinomials from ``rng``
+    in that order.
+    """
+    cdf, mixed = dist.cdf, dist.mixed
+    n_bins = dist.n_bins
+    half = n_bins >> 1
+    # Residue order runs through bins half+1..N-1, then 0..half; C(r) is
+    # the mass at residues <= r. Negative residues carry 1 - cdf[half].
+    c_half = float(cdf[half])
+    neg_mass = 1.0 - c_half
+    # Clamps for a threshold that rounds past the last bin with mass in
+    # either half; both bins carry mass whenever their branch is taken.
+    last_pos = int(np.searchsorted(cdf, c_half, side="left"))
+    last_neg = int(np.searchsorted(cdf, 1.0, side="left"))
+    walked = two_K + dark_bins
+    offsets = np.arange(1, walked + 1, dtype=np.int64)
+
+    anchors = np.empty(rounds, dtype=np.int64)
+    counts = np.empty(rounds, dtype=np.int64)
+    sums = np.empty(rounds, dtype=np.int64)
+    darks = np.empty(rounds, dtype=np.int64)
+    for start in range(0, rounds, _ROUND_BLOCK):
+        rows = min(_ROUND_BLOCK, rounds - start)
+        block = slice(start, start + rows)
+
+        # Anchor: P(min <= r) = 1 - (1 - C(r))**M0 exceeds u exactly when
+        # C(r) exceeds t, so the anchor is the first residue with C(r) > t.
+        t = -np.expm1(np.log1p(-rng.random(rows)) / M0)
+        left = t < neg_mass
+        bins = np.searchsorted(cdf, np.where(left, c_half + t, t - neg_mass), side="right")
+        bins = np.minimum(bins, np.where(left, last_neg, last_pos))
+        a = _residues(bins, dist.q)
+        # Mass strictly right of the anchor, 1 - C(a).
+        above = np.where(left, (1.0 - cdf[bins]) + c_half, c_half - cdf[bins])
+        p_anchor = mixed[bins]
+        pi = p_anchor / (p_anchor + above)
+
+        # Anchor-bin count: Bin(M0, pi) given >= 1, as the index J of the
+        # first hit (a geometric truncated at M0) plus the hits after it.
+        with np.errstate(divide="ignore"):
+            log_miss = np.log1p(-pi)  # -inf for a bin holding all the mass left
+        hit = -np.expm1(M0 * log_miss)
+        first = np.ceil(np.log1p(-rng.random(rows) * hit) / log_miss)
+        k = 1 + rng.binomial(M0 - np.clip(first, 1, M0).astype(np.int64), pi)
+
+        # The other M0 - k draws fall right of the anchor with probabilities
+        # mixed / (1 - C(a)). Residues past the seam at +N/2 do not exist;
+        # their bins wrap to residues left of the anchor and are masked.
+        residues = a[:, np.newaxis] + offsets
+        pvals = np.zeros((rows, walked + 1))
+        np.divide(
+            mixed[residues & (n_bins - 1)],
+            above[:, np.newaxis],
+            out=pvals[:, :walked],
+            where=(residues <= half) & (above[:, np.newaxis] > 0.0),
+        )
+        # Rounding can push a row past 1 when little mass is left. The
+        # last cell takes the draws beyond the dark segment; multinomial
+        # gives it whatever the others leave and only range-checks it.
+        total = pvals.sum(axis=1)
+        pvals[:, :walked] /= np.maximum(total, 1.0)[:, np.newaxis]
+        pvals[:, walked] = 1.0 - np.minimum(total, 1.0)
+        walk = rng.multinomial(M0 - k, pvals)
+
+        window = walk[:, :two_K]
+        counts[block] = k + window.sum(axis=1)
+        sums[block] = a * counts[block] + window @ offsets[:two_K]
+        darks[block] = walk[:, two_K:walked].sum(axis=1)
+        anchors[block] = a
+    return anchors, counts, sums, darks
+
+
 def run_gsee(
     plan: GseePlan,
     dist: OutcomeDistribution,
@@ -170,10 +272,12 @@ def run_gsee(
     ``plan`` (see ``simulator.mixed_distribution``): M rounds of M0
     draws, basket mean each round, grand mean over rounds.
 
-    Rounds are consecutive M0-sized blocks of a single sample stream, so
-    results are bit-identical however the draws are batched internally.
-    ``n_left`` counts rounds whose anchor fell more than K bins left of
-    the median anchor, the signature of a left-outlier round.
+    Each round's anchor, basket count, basket sum and dark count are
+    drawn directly (``_draw_rounds``) from a Philox generator seeded by
+    ``seed``, so results depend on (plan, dist, seed) and
+    ``_ROUND_BLOCK`` only. ``n_left`` counts rounds whose anchor fell
+    more than K bins left of the median anchor, the signature of a
+    left-outlier round.
     """
     round_plan = plan.round_plan
     if dist.q != round_plan.q:
@@ -181,26 +285,17 @@ def run_gsee(
             f"distribution is on 2**{dist.q} bins but the plan's register "
             f"has 2**{round_plan.q}; build it with mixed_distribution(spec, plan)"
         )
-    stream = SampleStream(dist, seed)
-
     M, M0 = plan.M, round_plan.M0
-    rows_per_batch = max(1, _BATCH_DRAWS // M0)
-    means = np.empty(M, dtype=np.float64)
-    anchors = np.empty(M, dtype=np.int64)
-    n_dark = 0
-    basket_total = 0
-    done = 0
-    while done < M:
-        rows = min(rows_per_batch, M - done)
-        residues = _residues(stream.draw(rows * M0), round_plan.q).reshape(rows, M0)
-        batch_anchors, _, counts, sums, batch_dark = _window_rounds(
-            residues, round_plan.two_K, round_plan.dark_bins
-        )
-        means[done : done + rows] = sums / counts
-        anchors[done : done + rows] = batch_anchors
-        n_dark += batch_dark
-        basket_total += int(counts.sum())
-        done += rows
+    anchors, counts, sums, darks = _draw_rounds(
+        np.random.Generator(np.random.Philox(seed)),
+        dist,
+        M,
+        M0,
+        round_plan.two_K,
+        round_plan.dark_bins,
+    )
+    means = sums / counts
+    n_dark = int(darks.sum())
 
     median_anchor = float(np.median(anchors))
     n_left = int(np.count_nonzero(anchors < median_anchor - round_plan.K))
@@ -216,7 +311,7 @@ def run_gsee(
         n_left=n_left,
         diagnostics={
             "median_anchor": median_anchor,
-            "basket_fraction": basket_total / total_draws,
+            "basket_fraction": int(counts.sum()) / total_draws,
             "dark_fraction": n_dark / total_draws,
         },
     )

@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "g0",
     "wrap_mod",
-    "gauss_mp",
     "range_moments",
     "outside_moments",
     "fourier_moment",
@@ -98,13 +97,6 @@ def _check_moment_order(m: int) -> None:
 # High-precision lattice series (mpmath, at the caller's working precision)
 
 
-def gauss_mp(x, mu, sigma) -> mpmath.mpf:
-    """``g0`` in mpmath: the unit-mass Gaussian density at ``x``."""
-    return mpmath.exp(-((x - mu) ** 2) / (2 * sigma**2)) / (
-        sigma * mpmath.sqrt(2 * mpmath.pi)
-    )
-
-
 def range_moments(mu, sigma, lo, hi, m_max: int) -> list[mpmath.mpf]:
     """Sums of n**j * g0(n, mu, sigma) for j = 0..m_max over integer n in [lo, hi].
 
@@ -118,6 +110,9 @@ def range_moments(mu, sigma, lo, hi, m_max: int) -> list[mpmath.mpf]:
     if lo is not None and hi is not None and lo > hi:
         return totals
     mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
+    # g0 in mpmath, with its two per-point constants formed once per call.
+    two_var = 2 * sigma**2
+    scale = sigma * mpmath.sqrt(2 * mpmath.pi)
     cutoff = mpmath.mpf(_REL_CUTOFF)
     n0 = int(mpmath.nint(mu))
     if lo is not None:
@@ -132,7 +127,7 @@ def range_moments(mu, sigma, lo, hi, m_max: int) -> list[mpmath.mpf]:
         for _ in range(_LOOP_CAP):
             if limit is not None and (n - limit) * step > 0:
                 return
-            g = gauss_mp(n, mu, sigma)
+            g = mpmath.exp(-((n - mu) ** 2) / two_var) / scale
             head = max(head, g)
             nj = mpmath.mpf(1)
             for j in range(m_max + 1):

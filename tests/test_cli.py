@@ -102,9 +102,16 @@ def test_gsee_mode_estimates_and_summary(tmp_path):
         "err",
         "n_dark",
         "n_left",
+        "basket_fraction",
+        "dark_fraction",
+        "median_anchor",
     ]
     for row in rows:
         assert abs(float(row["err"])) <= 0.01
+        draws = int(row["M"]) * int(row["M0"])
+        assert 0.0 < float(row["basket_fraction"]) <= 1.0
+        assert float(row["dark_fraction"]) * draws == pytest.approx(int(row["n_dark"]))
+        assert float(row["median_anchor"]) == pytest.approx(-0.2 * 2 ** int(row["q"]), abs=50)
     summary = read_json(os.path.join(out, "summary.json"))
     assert summary["mode"] == "gsee"
     assert summary["alphas"]["0"]["failures"] == 0

@@ -1,9 +1,18 @@
 """Windowed moment estimation: baskets, round means, and the grand mean.
 
 HOEFFDING_185 is ceil(ln(2/0.05) / (2 * 0.1**2)) from the oracle script.
+
+``run_gsee`` draws each round's sufficient statistics directly, so it is
+checked in law, not bit for bit: against the exact joint law enumerated
+on a toy lattice, against ``SampleStream`` + ``basket_from_outcomes``
+by two-sample chi-square tests, and exactly on degenerate distributions.
+Every statistical test here has its seed and level (``CHI2_LEVEL``)
+fixed; a failure is a finding, not a reason to re-seed.
 """
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +20,7 @@ import pytest
 
 from gaussqpe.gaussian import wrap_mod
 from gaussqpe.estimation import (
+    _draw_rounds,
     _residues,
     basket_from_outcomes,
     moment_from_basket,
@@ -24,9 +34,16 @@ from gaussqpe.planner import (
     plan_qpe_baseline,
     plan_sampling_round,
 )
-from gaussqpe.simulator import SampleStream, SpectrumSpec, mixed_distribution
+from gaussqpe.simulator import (
+    OutcomeDistribution,
+    SampleStream,
+    SpectrumSpec,
+    mixed_distribution,
+)
+from scipy import stats
 
 HOEFFDING_185 = 185
+CHI2_LEVEL = 1e-3
 
 
 def test_hoeffding_reference():
@@ -122,23 +139,6 @@ def test_round_uses_plan_sample_count(round_plan):
 
 
 class TestRunGsee:
-    def test_matches_repeated_single_rounds(self, acceptance_spectrum,
-                                            acceptance_plan):
-        """The batched path must equal round-by-round evaluation on the
-        same stream, whatever the internal batch size."""
-        dist = mixed_distribution(acceptance_spectrum, acceptance_plan)
-        est = run_gsee(acceptance_plan, dist, 31)
-        stream = SampleStream(dist, 31)
-        round_plan = acceptance_plan.round_plan
-        means = []
-        for _ in range(acceptance_plan.M):
-            basket = run_sampling_round(stream, round_plan)
-            means.append(moment_from_basket(basket, round_plan).value_bins)
-        assert np.allclose(est.per_round_means, means, rtol=0, atol=0)
-        assert est.mu_hat == pytest.approx(
-            np.mean(means) / round_plan.n_bins, rel=1e-15
-        )
-
     def test_recovers_ground_phase(self, acceptance_spectrum, acceptance_inputs):
         plan = plan_gsee(acceptance_inputs)
         est = run_gsee(plan, mixed_distribution(acceptance_spectrum, plan), 7)
@@ -207,3 +207,175 @@ def test_wraparound_mean_is_unbiased(acceptance_plan):
     spec = SpectrumSpec(eigenphases=(-0.42, -0.2), overlaps_sq=(0.8, 0.2))
     est = run_gsee(acceptance_plan, mixed_distribution(spec, acceptance_plan), 13)
     assert abs(est.mu_hat - (-0.42)) < 0.01
+
+
+def test_positive_seam_mean_is_unbiased(acceptance_plan):
+    """A ground phase near +0.42 puts the window and dark segment past
+    +2**(q-1); no round mean may land beyond it."""
+    spec = SpectrumSpec(eigenphases=(0.42,), overlaps_sq=(1.0,))
+    est = run_gsee(acceptance_plan, mixed_distribution(spec, acceptance_plan), 17)
+    round_plan = acceptance_plan.round_plan
+    assert est.diagnostics["median_anchor"] + round_plan.two_K + round_plan.dark_bins > (
+        round_plan.n_bins // 2
+    )
+    assert est.per_round_means.max() <= round_plan.n_bins // 2
+    assert abs(est.mu_hat - 0.42) < 0.01
+
+
+def _lattice_dist(q: int, mass_by_residue: dict[int, float]) -> OutcomeDistribution:
+    """A distribution given by residue, normalised as mixed_distribution does."""
+    mixed = np.zeros(1 << q)
+    for residue, mass in mass_by_residue.items():
+        mixed[residue % (1 << q)] = mass
+    cdf = np.cumsum(mixed)
+    cdf /= cdf[-1]
+    return OutcomeDistribution(q=q, per_eigenstate=mixed[np.newaxis], mixed=mixed, cdf=cdf)
+
+
+def _draw(dist, rounds, M0, two_K, dark_bins, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return _draw_rounds(rng, dist, rounds, M0, two_K, dark_bins)
+
+
+def _round_stats(residues, two_K, dark_bins):
+    """(anchor, count, sum, dark) of one round, straight from its residues."""
+    a = min(residues)
+    basket = [r for r in residues if r <= a + two_K]
+    dark = sum(a + two_K < r <= a + two_K + dark_bins for r in residues)
+    return a, len(basket), sum(basket), dark
+
+
+# Toy lattice whose windows often cross the seam at +8: an anchor at 7
+# reaches residues 8..11, and bins 9..11 hold residues -7..-5.
+TOY_Q, TOY_M0, TOY_TWO_K, TOY_DARK = 4, 5, 2, 2
+TOY_MASS = {-7: 0.05, -6: 0.05, -1: 0.05, 0: 0.05, 2: 0.05,
+            5: 0.15, 6: 0.15, 7: 0.2, 8: 0.25}
+
+
+def test_round_sampler_matches_exact_joint_law():
+    """Chi-square goodness of fit of (anchor, count, sum, dark) against the
+    law enumerated over every multiset of M0 draws; cells expected below
+    5 are pooled into one."""
+    dist = _lattice_dist(TOY_Q, TOY_MASS)
+    law: Counter = Counter()
+    for draw in itertools.combinations_with_replacement(sorted(TOY_MASS), TOY_M0):
+        mult = Counter(draw)
+        weight = math.factorial(TOY_M0)
+        for residue, n in mult.items():
+            weight = weight / math.factorial(n) * TOY_MASS[residue] ** n
+        law[_round_stats(draw, TOY_TWO_K, TOY_DARK)] += weight
+    assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+
+    rounds = 40_000
+    sampled = Counter(zip(*(x.tolist() for x in _draw(
+        dist, rounds, TOY_M0, TOY_TWO_K, TOY_DARK, 2024))))
+    assert set(sampled) <= set(law), "a sampled round has probability 0"
+    big = [cell for cell, p in law.items() if rounds * p >= 5]
+    small = [cell for cell in law if cell not in big]
+    observed = [sampled[c] for c in big] + [sum(sampled[c] for c in small)]
+    expected = [rounds * law[c] for c in big] + [rounds * math.fsum(law[c] for c in small)]
+    assert len(big) > 50
+    p_value = stats.chisquare(observed, expected).pvalue
+    assert p_value >= CHI2_LEVEL, f"chi-square p = {p_value:.2e} over {len(expected)} cells"
+
+
+def _pooled_table(a: np.ndarray, b: np.ndarray, columns: int) -> np.ndarray:
+    """2 x c contingency table of two samples on consecutive value ranges,
+    each holding at least 1/columns of the pooled sample."""
+    values, pooled = np.unique(np.concatenate([a, b]), return_counts=True)
+    total = pooled.sum()
+    edges, run = [], 0
+    for value, n in zip(values[:-1], pooled[:-1]):
+        run += n
+        if run * columns >= total:
+            edges.append(value)
+            run = 0
+    if edges and (run + pooled[-1]) * columns < total:
+        edges.pop()  # fold a short last range into the one before
+    return np.array([np.bincount(np.searchsorted(edges, x), minlength=len(edges) + 1)
+                     for x in (a, b)])
+
+
+@pytest.mark.parametrize("spectrum", [
+    ((-0.2, -0.05, 0.15), (0.5, 0.3, 0.2)),
+    ((0.42,), (1.0,)),  # windows cross the seam at +2**(q-1)
+], ids=["acceptance", "near-seam"])
+def test_round_sampler_matches_sample_stream(acceptance_plan, spectrum):
+    """Two-sample chi-square tests of the anchor, basket-count and
+    basket-mean histograms against rounds windowed from SampleStream
+    draws. Near the seam every draw lands in the basket, so the basket
+    count takes the one value M0 on both sides."""
+    round_plan = acceptance_plan.round_plan
+    dist = mixed_distribution(SpectrumSpec(*spectrum), acceptance_plan)
+    rounds = 4000
+    stream = SampleStream(dist, 77)
+    oracle = [run_sampling_round(stream, round_plan) for _ in range(rounds)]
+    anchors, counts, sums, _ = _draw(
+        dist, rounds, round_plan.M0, round_plan.two_K, round_plan.dark_bins, 78
+    )
+    means = sums / counts
+    assert means.max() <= round_plan.n_bins // 2
+    for name, ours, theirs in (
+        ("anchor", anchors, np.array([b.anchor for b in oracle])),
+        ("basket count", counts, np.array([b.size for b in oracle])),
+        ("basket mean", means, np.array([b.members.mean() for b in oracle])),
+    ):
+        table = _pooled_table(ours, theirs, 20)
+        if table.shape[1] == 1:
+            assert np.unique(np.concatenate([ours, theirs])).size == 1, name
+            continue
+        assert table.shape[1] >= 3, name
+        p_value = stats.chi2_contingency(table).pvalue
+        assert p_value >= CHI2_LEVEL, f"{name}: p = {p_value:.2e}"
+
+
+class TestRoundSamplerExactCases:
+    @pytest.mark.parametrize("residue", [-2047, -300, 0, 777, 2048])
+    def test_one_bin_spike(self, acceptance_plan, residue):
+        round_plan = acceptance_plan.round_plan
+        dist = _lattice_dist(round_plan.q, {residue: 1.0})
+        est = run_gsee(acceptance_plan, dist, 3)
+        assert np.all(est.per_round_means == residue)
+        assert est.n_dark == 0 and est.n_left == 0
+        assert est.diagnostics == {
+            "median_anchor": float(residue),
+            "basket_fraction": 1.0,
+            "dark_fraction": 0.0,
+        }
+
+    def test_two_spikes_in_one_window(self):
+        """Every draw lands in the basket; the draws on the right spike
+        follow Bin(M0, 0.7), whichever spike anchors the round."""
+        M0, left, step = 4, -3, 5
+        dist = _lattice_dist(8, {left: 0.3, left + step: 0.7})
+        anchors, counts, sums, darks = _draw(dist, 20_000, M0, 2 * step, 3, 5)
+        assert np.all(counts == M0) and np.all(darks == 0)
+        assert set(anchors.tolist()) == {left, left + step}
+        right, rest = np.divmod(sums - M0 * left, step)
+        assert np.all(rest == 0)
+        observed = np.bincount(right, minlength=M0 + 1)
+        expected = stats.binom.pmf(np.arange(M0 + 1), M0, 0.7) * right.size
+        assert stats.chisquare(observed, expected).pvalue >= CHI2_LEVEL
+
+    def test_spike_in_dark_segment(self):
+        two_K, dark = 6, 4
+        dist = _lattice_dist(8, {10: 0.5, 10 + two_K + dark: 0.5})
+        anchors, counts, _, darks = _draw(dist, 2000, 6, two_K, dark, 6)
+        left = anchors == 10
+        np.testing.assert_array_equal(counts[left] + darks[left], 6)
+        np.testing.assert_array_equal(darks[~left], 0)
+
+    def test_window_past_seam_is_masked(self):
+        """An anchor just left of +2**(q-1) gathers bins that wrap to
+        residues left of it; their mass must not enter the round."""
+        q, M0 = 4, 3
+        half = 1 << (q - 1)
+        dist = _lattice_dist(q, {half - 1: 0.6, half: 0.3, -half + 1: 0.1})
+        anchors, counts, sums, darks = _draw(dist, 5000, M0, 2, 2, 8)
+        right = anchors >= half - 1
+        assert 0 < right.sum() < anchors.size
+        np.testing.assert_array_equal(counts[right], M0)
+        assert np.all((sums[right] >= M0 * anchors[right]) & (sums[right] <= M0 * half))
+        np.testing.assert_array_equal(darks, 0)
+        np.testing.assert_array_equal(sums[~right], counts[~right] * (-half + 1))
+
