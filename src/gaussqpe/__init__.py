@@ -34,6 +34,7 @@ from .simulator import (
     SampleStream,
     SpectrumPlanMismatch,
     SpectrumSpec,
+    WindowTruncated,
     eigendecompose,
     gaussian_window,
     mixed_distribution,
@@ -56,6 +57,7 @@ __all__ = [
     "SpectrumSpec",
     "SpectrumPlanMismatch",
     "DistributionTooLarge",
+    "WindowTruncated",
     "DenseHamiltonian",
     "eigendecompose",
     "gaussian_window",

@@ -420,8 +420,16 @@ def _norm_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundCase]:
     ]
     inv_exact = abs(t0) / model.N0
     inv_bound = sandwich / (1 - sandwich)
+    # bound - exact = ((S - |t0|) + S (t0 + |t0|)) / ((1 - S) N0), S = A + T,
+    # with the slack S - |t0| formed term by term from t0 = alias - reg_tail
+    # (T holds reg_tail's bins), not from two sides equal to 60 digits.
+    alias, reg_tail = model.alias_signed[0], model.reg_tail0
+    slack = T + reg_tail if t0 >= 0 else (T - reg_tail) + 2 * max(alias, 0)
+    margin = (slack + sandwich * (t0 + abs(t0))) / ((1 - sandwich) * model.N0)
     cases.append(
-        _case("inv_norm", dict(base), inv_exact, inv_bound, bool(sandwich < 1))
+        _case(
+            "inv_norm", dict(base), inv_exact, inv_bound, bool(sandwich < 1), margin=margin
+        )
     )
     return cases
 
@@ -702,17 +710,40 @@ def _fail_rate_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundC
     ]
 
     if plan.eta < 1:
-        pol_exact = model.c_mix * model.R
-        pol_bound = (
-            mpmath.sqrt((1 - eta_mp) / eta_mp)
-            * mpmath.sqrt(1 + model.A + model.T)
-            / mpmath.sqrt(1 - model.A - model.T)
-            * model.R
-        )
-        cases.append(
-            _case("pollution_norm", dict(base), pol_exact, pol_bound, True)
-        )
+        cases.append(_pollution_case(model, base))
     return cases
+
+
+def _pollution_case(model: _TwoStateModel, base: dict[str, Any]) -> BoundCase:
+    """c_mix R <= sqrt((1 - eta) / eta) sqrt((1 + A + T) / (1 - A - T)) R.
+
+    c_mix carries sqrt(N0 / N1), and N1's defect sits at the contaminant's
+    centre, so A is the aliasing majorant (the planner's A), which bounds
+    the defect at every centre; the ground centre's own |signed sum| does
+    not (at mu = 1/4 it is ~1e-176 where N1's is ~1e-114). Both sides are
+    ratio * R * sqrt(1 + x); the margin expands sqrt(1 + x) - 1 as
+    x / (sqrt(1 + x) + 1) on each, with x formed from the tiny terms.
+    """
+    ratio = mpmath.sqrt((1 - model.eta) / model.eta)
+    S = model.alias_abs[0] + model.T
+    x_bound = 2 * S / (1 - S)
+    x_exact = (model.norm0_minus_1 - model.norm1_minus_1) / model.N1
+    margin = (
+        ratio
+        * model.R
+        * (
+            x_bound / (mpmath.sqrt(1 + x_bound) + 1)
+            - x_exact / (mpmath.sqrt(1 + x_exact) + 1)
+        )
+    )
+    return _case(
+        "pollution_norm",
+        dict(base),
+        model.c_mix * model.R,
+        ratio * mpmath.sqrt((1 + S) / (1 - S)) * model.R,
+        True,
+        margin=margin,
+    )
 
 
 def _q_requirement_case(plan: PlanParams) -> list[BoundCase]:

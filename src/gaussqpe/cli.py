@@ -41,6 +41,7 @@ from .simulator import (
     DistributionTooLarge,
     SpectrumPlanMismatch,
     SpectrumSpec,
+    WindowTruncated,
     eigendecompose,
     mixed_distribution,
 )
@@ -493,6 +494,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except DistributionTooLarge as exc:
         print(f"distribution too large: {exc}", file=sys.stderr)
+        return 2
+    except WindowTruncated as exc:
+        print(f"window truncated: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

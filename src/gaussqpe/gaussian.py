@@ -11,7 +11,8 @@ Conventions used throughout the package:
   F(f)(k) = integral of exp(-2*pi*i*x*k) * f(x) dx, so the transform of the
   unit Gaussian centered at mu is exp(-2*pi**2*sigma**2*k**2 - 2*pi*i*mu*k).
 
-``g0`` is the float64 density that ``simulator.gaussian_window`` samples.
+``g0`` is the float64 density that ``simulator.gaussian_window`` samples
+and that ``simulator.mixed_distribution`` fills each eigenstate's band with.
 The lattice series that plans and certificates rest on live here, once,
 in mpmath at the caller's working precision: ``range_moments`` and
 ``outside_moments`` (direct lattice sums over a range and outside it),

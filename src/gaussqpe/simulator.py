@@ -4,16 +4,31 @@ The measured register holds q qubits, so outcomes live on the N = 2**q
 bins z = 0..N-1. For an eigenphase theta (in turns, inside (-1/2, 1/2))
 and a real window a_t on t = 0..N-1, the outcome probability is
 
-    P(z) = | (1/sqrt(N)) * sum_t a_t * exp(2*pi*i*t*(theta - z/N)) |**2,
+    P(z) = | (1/sqrt(N)) * sum_t a_t * exp(2*pi*i*t*(theta - z/N)) |**2.
 
-computed here in one FFT per eigenphase. Mixed initial states are
-handled classically: the register distribution is the overlap-weighted
-sum of the per-eigenstate distributions.
+``distribution_from_window`` evaluates it for any window with one FFT.
+``mixed_distribution`` needs none: for the plan's Gaussian window
+(``gaussian_window``) Poisson summation turns the sum into a Gaussian in
+frequency, so each eigenstate's row is
 
-Everything in this module is float64, so the probabilities are accurate
-in absolute terms only: each bin is off by at most about 1e-16 times the
-peak probability. Far tails are not resolved; there the computed values
-sit on a rounding floor near 1e-31 where the analytic tail is near 1e-91.
+    P(z) = sum over residues r = z (mod N) of g0(r - N*theta; sigma_bins),
+
+filled in closed form over the band of residues within
+``_BAND_SIGMAS`` (about 38.6) widths of N*theta. Past the band g0
+underflows float64, so far tails are exact zeros. Mixed initial states
+are handled classically: the register distribution is the
+overlap-weighted sum of the per-eigenstate rows.
+
+The closed form leaves out two terms of the exact sum: the window's cut
+at the register ends, below exp(-pi**2 * sigma_bins**2) of the peak
+probability, and the cross terms between aliases N bins apart, below
+exp(-N**2 / (8 * sigma_bins**2)) of it.
+``mixed_distribution`` raises ``WindowTruncated`` when either bound
+exceeds 1e-12 (for the first, sigma_bins below 1.67), which no feasible
+plan does. Otherwise every bin is within that bound plus a few ulp of
+the peak of the exact value. The FFT is coarser: rounding of its phase
+ramp 2*pi*theta*t grows with N (about 1e-14 of the peak at q = 12), and
+its far tails sit on a rounding floor near 1e-31.
 
 Sampling inverts the CDF of uniforms from a counter-based generator, so
 identical seeds reproduce identical byte streams regardless of draw
@@ -39,6 +54,7 @@ __all__ = [
     "SpectrumSpec",
     "SpectrumPlanMismatch",
     "DistributionTooLarge",
+    "WindowTruncated",
     "DenseHamiltonian",
     "eigendecompose",
     "gaussian_window",
@@ -53,9 +69,16 @@ _SUM_TOL = 1e-12
 _HERMITICITY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _MAX_DENSE_DIM = 64
-# Largest distribution mixed_distribution builds, counted as one complex128
-# FFT array per eigenphase (J * 2**q * 16 bytes).
+# Largest distribution mixed_distribution builds, counted as the float64
+# arrays it holds: J rows, the mixture and its CDF ((J + 2) * 2**q * 8 bytes).
 _MAX_DISTRIBUTION_BYTES = 2 << 30
+# Half-width of the band mixed_distribution fills, in units of sigma_bins:
+# past it exp(-x**2 / 2) is below float64's smallest subnormal 2**-1074,
+# and g0 (whose prefactor is below 1 for sigma_bins > 0.4) underflows to 0.
+_BAND_SIGMAS = math.sqrt(2.0 * 1074.0 * math.log(2.0))
+# Largest model error of the closed form, relative to the peak, that
+# mixed_distribution accepts (see the module docstring).
+_MODEL_ERROR_TOL = 1e-12
 # Guide-table buckets. A power of two, so u * _GUIDE_BUCKETS is exact for
 # every double u and its integer part is the bucket u lies in.
 _GUIDE_BUCKETS = 1 << 16
@@ -67,6 +90,12 @@ class SpectrumPlanMismatch(ValueError):
 
 class DistributionTooLarge(ValueError):
     """The plan's register is too large to hold its distribution in memory."""
+
+
+class WindowTruncated(ValueError):
+    """The plan's window is cut by the register ends (sigma_bins below
+    1.67), or its aliases overlap, by more than the closed-form
+    distribution's 1e-12 of the peak."""
 
 
 @dataclass(frozen=True)
@@ -296,25 +325,48 @@ class OutcomeDistribution:
         return 1 << self.q
 
 
+def _check_closed_form(round_plan: PlanParams) -> None:
+    """Raise ``WindowTruncated`` unless both terms the closed form leaves
+    out, exp(-pi**2 * sigma_bins**2) and exp(-N**2 / (8 * sigma_bins**2))
+    of the peak, stay below ``_MODEL_ERROR_TOL``."""
+    sigma = round_plan.sigma_bins
+    exponent = min(
+        math.pi**2 * sigma**2, float(round_plan.n_bins) ** 2 / (8.0 * sigma**2)
+    )
+    if exponent < -math.log(_MODEL_ERROR_TOL):
+        raise WindowTruncated(
+            f"sigma_bins {sigma!r} on 2**{round_plan.q} bins leaves a model error "
+            f"of exp(-{exponent:.4g}) of the peak, above {_MODEL_ERROR_TOL:g}"
+        )
+
+
 def mixed_distribution(
     spec: SpectrumSpec, plan: PlanParams | GseePlan
 ) -> OutcomeDistribution:
-    """Build the outcome distribution of one sampling round; raises
-    ``SpectrumPlanMismatch`` unless ``spec`` fits the plan, and
-    ``DistributionTooLarge`` before allocating when its J * 2**q complex128
-    FFT arrays would exceed 2 GiB."""
+    """Build the outcome distribution of one sampling round in closed form
+    (see the module docstring). Raises ``SpectrumPlanMismatch`` unless
+    ``spec`` fits the plan, ``DistributionTooLarge`` before allocating
+    when its (J + 2) float64 arrays of 2**q bins would exceed 2 GiB, and
+    ``WindowTruncated`` when the closed form would be off by more than
+    1e-12 of the peak."""
     round_plan = plan.round_plan if isinstance(plan, GseePlan) else plan
     spec.validate_for_plan(round_plan)
-    n_bytes = spec.J * (1 << round_plan.q) * np.dtype(np.complex128).itemsize
+    n = round_plan.n_bins
+    n_bytes = (spec.J + 2) * n * np.dtype(np.float64).itemsize
     if n_bytes > _MAX_DISTRIBUTION_BYTES:
         raise DistributionTooLarge(
             f"{spec.J} eigenphases on 2**{round_plan.q} bins need {n_bytes} bytes "
-            f"of complex128, above the {_MAX_DISTRIBUTION_BYTES}-byte limit"
+            f"of float64, above the {_MAX_DISTRIBUTION_BYTES}-byte limit"
         )
-    window = gaussian_window(round_plan.q, round_plan.sigma_tilde)
-    per = np.stack(
-        [distribution_from_window(window, theta) for theta in spec.eigenphases]
-    )
+    _check_closed_form(round_plan)
+    sigma = round_plan.sigma_bins
+    half_width = math.ceil(_BAND_SIGMAS * sigma)
+    per = np.zeros((spec.J, n))
+    for row, theta in zip(per, spec.eigenphases):
+        center = theta * n  # exact: n is a power of two
+        r = np.arange(math.floor(center) - half_width, math.ceil(center) + half_width + 1)
+        # A band wider than the register wraps onto itself; add.at sums the aliases.
+        np.add.at(row, r & (n - 1), gaussian.g0(r, center, sigma))
     weights = np.array(spec.overlaps_sq, dtype=np.float64)
     mixed = weights @ per
     cdf = np.cumsum(mixed)

@@ -153,3 +153,41 @@ for z in (2, 3, 8):
         for t in range(Nq)
     ) / mpmath.sqrt(Nq)
     show(f"DFT_Q4_Z{z}", abs(b) ** 2, digits=25)
+
+print()
+print("# closed-form register rows against the truncated window, direct DFT")
+# (label, q, sigma_tilde of the plan, eigenphase): the acceptance plan, a
+# q = 10 plan near the smallest sigma_bins a planner sweep reached, and a
+# q = 16 plan. Doubles enter mpmath exactly, as the package sees them.
+CLOSED_FORM_CASES = (
+    ("q12", 12, 0.0006730539066309329, -0.2),
+    ("q10", 10, 0.0017293621083082865, 0.1234567),
+    ("q16", 16, 4.6382995328986464e-05, -0.3712345),
+)
+for label, q, sig_tilde, theta in CLOSED_FORM_CASES:
+    Nq = 1 << q
+    sigma_bins = mpmath.mpf(sig_tilde) * Nq
+    sigma_time = 1 / (4 * mpmath.pi * mpmath.mpf(sig_tilde))
+    # gaussian_window: sqrt of the Gaussian on t = 0..N-1, centred at N/2,
+    # normalised over the register.
+    amps = [mpmath.sqrt(gauss(t - Nq // 2, 0, sigma_time)) for t in range(Nq)]
+    nrm2 = mpmath.fsum(a**2 for a in amps)
+    center = mpmath.mpf(theta) * Nq
+    base = int(mpmath.floor(center))
+    reach = int(mpmath.ceil(4 * sigma_bins))
+    offsets = list(range(-reach, reach + 2)) + [
+        int(mpmath.nint(10 * sigma_bins)),
+        -int(mpmath.nint(20 * sigma_bins)),
+    ]
+    rows = {}
+    for d in offsets:
+        z = (base + d) % Nq
+        w = mpmath.expjpi(2 * (mpmath.mpf(theta) - mpmath.mpf(z) / Nq))
+        b = mpmath.mpf(0)
+        for a in reversed(amps):  # Horner: sum_t a_t w**t
+            b = b * w + a
+        rows[z] = abs(b) ** 2 / (nrm2 * Nq)
+    print(f'"{label}": ({q}, {sig_tilde!r}, {theta!r}, {{')
+    for z in sorted(rows):
+        print(f"    {z}: {mpmath.nstr(rows[z], 20)},")
+    print("}),")

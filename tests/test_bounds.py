@@ -18,7 +18,12 @@ from gaussqpe import bounds
 from gaussqpe.bounds import (
     BoundCase,
     BoundReport,
+    DEFAULT_DELTAS,
     DEFAULT_EPS_REL,
+    DEFAULT_ETAS,
+    DEFAULT_GAPS,
+    DEFAULT_MU_CENTERS,
+    DEFAULT_ORDERS,
     evaluate_plan_cases,
     run_default_grid,
 )
@@ -264,6 +269,86 @@ def test_window_terms_and_fail_probs_against_direct_series(
         for got, ref in zip(model.fail_probs(), expected):
             assert ref > 0
             assert abs(got - ref) <= ref * tol
+
+
+def _norm_and_pollution_cases(plan, mu_center):
+    with mpmath.workdps(bounds._DPS):
+        model = bounds._TwoStateModel(plan, mu_center)
+        base = bounds._base_params(plan, mu_center)
+        cases = [c for c in bounds._norm_cases(model, base) if c.kind == "inv_norm"]
+        if plan.eta < 1:
+            cases.append(bounds._pollution_case(model, base))
+    return model, cases
+
+
+def test_tiny_margins_match_the_plain_difference(plan):
+    """inv_norm and pollution_norm margins, assembled from the tiny terms,
+    equal bound - exact formed plainly from the same model terms at enough
+    digits that the difference does not round away. The squeezed models
+    (2**5 and 2**6 bins, K = 13 and 20) bring the register tail within a
+    factor of ten of the window tail, so a sign slip there shows."""
+    squeezed = [
+        dataclasses.replace(
+            plan, q=q, K=K, sigma_tilde=plan.sigma_bins / (1 << q), Delta_work=gap / (1 << q)
+        )
+        for q, K, gap in ((5, 13, 12), (6, 20, 20))
+    ]
+    for model_plan in (plan, *squeezed):
+        for mu_center in (-0.5, 0.0, 0.25):
+            model, cases = _norm_and_pollution_cases(model_plan, mu_center)
+            with mpmath.workdps(1500):
+                t0, t1 = model.norm0_minus_1, model.norm1_minus_1
+                S = model.A + model.T
+                S_abs = model.alias_abs[0] + model.T
+                refs = {
+                    "inv_norm": S / (1 - S) - abs(t0) / (1 + t0),
+                    "pollution_norm": (
+                        mpmath.sqrt((1 - model.eta) / model.eta)
+                        * model.R
+                        * (
+                            mpmath.sqrt((1 + S_abs) / (1 - S_abs))
+                            - mpmath.sqrt((1 + t0) / (1 + t1))
+                        )
+                    ),
+                }
+                # The pollution bound is not meant for the squeezed models.
+                for case in cases[: 2 if model_plan is plan else 1]:
+                    ref = refs[case.kind]
+                    assert ref > 0
+                    assert case.margin_log10 == pytest.approx(
+                        float(mpmath.log10(ref)), rel=1e-12
+                    )
+
+
+def test_pollution_bound_needs_the_alias_majorant(plan):
+    """At mu = 1/4 the ground centre's own aliasing defect is ~1e-176 while
+    the contaminant's, which N1 carries, is ~1e-114: with the centre's A in
+    place of the majorant the pollution bound would fail."""
+    model, _ = _norm_and_pollution_cases(plan, 0.25)
+    with mpmath.workdps(1500):
+        t0, t1 = model.norm0_minus_1, model.norm1_minus_1
+        S = model.A + model.T
+        assert (1 + S) / (1 - S) < (1 + t0) / (1 + t1)
+        S_abs = model.alias_abs[0] + model.T
+        assert (1 + S_abs) / (1 - S_abs) > (1 + t0) / (1 + t1)
+
+
+def test_default_grid_norm_and_pollution_margins_are_positive():
+    """Every default-grid inv_norm and pollution_norm row holds with a
+    finite margin_log10, so both kinds reach worst_margin_log10_by_kind."""
+    cases = []
+    for eta in DEFAULT_ETAS:
+        for delta in DEFAULT_DELTAS:
+            for gap in DEFAULT_GAPS:
+                for m in DEFAULT_ORDERS:
+                    plan = plan_sampling_round(delta, eta, gap, m, DEFAULT_EPS_REL)
+                    for mu_center in DEFAULT_MU_CENTERS:
+                        cases.extend(_norm_and_pollution_cases(plan, mu_center)[1])
+    kinds = [c.kind for c in cases]
+    assert (kinds.count("inv_norm"), kinds.count("pollution_norm")) == (180, 120)
+    assert all(c.holds and math.isfinite(c.margin_log10) for c in cases)
+    worst = BoundReport(cases=tuple(cases)).summary()["worst_margin_log10_by_kind"]
+    assert set(worst) == {"inv_norm", "pollution_norm"}
 
 
 def test_mc_case_sees_no_failures(plan):

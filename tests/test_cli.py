@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temp configs and directories."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from gaussqpe.bounds import (
     evaluate_plan_cases,
     run_default_grid,
 )
+from gaussqpe import cli
 from gaussqpe.cli import main
 from gaussqpe.planner import plan_sampling_round
 
@@ -268,6 +270,25 @@ def test_oversized_distribution_exits_two(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "distribution too large" in err and "2**30 bins" in err
+    assert not os.path.exists(os.path.join(out, "spectrum.csv"))
+
+
+def test_truncated_window_exits_two(tmp_path, capsys, monkeypatch):
+    # The planner never returns such a plan; hand one to the CLI.
+    real_plan_gsee = cli.plan_gsee
+
+    def narrow_plan(inputs):
+        plan = real_plan_gsee(inputs)
+        rp = plan.round_plan
+        return dataclasses.replace(
+            plan, round_plan=dataclasses.replace(rp, sigma_tilde=1.6 / rp.n_bins)
+        )
+
+    monkeypatch.setattr(cli, "plan_gsee", narrow_plan)
+    rc, out = run(tmp_path, ["--mode", "spectrum"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "window truncated" in err and "above 1e-12" in err
     assert not os.path.exists(os.path.join(out, "spectrum.csv"))
 
 

@@ -1,8 +1,10 @@
 """Register distributions, spectra, and the sampling stream.
 
 The three DFT_Q4_* constants are direct 16-point discrete Fourier sums
-evaluated in mpmath (tests/make_oracles.py); everything else is checked
-through exact distributional symmetries.
+evaluated in mpmath, and TRUNCATED_WINDOW_DFT holds 50-digit direct DFTs
+of the truncated Gaussian window for the closed form
+(tests/make_oracles.py); everything else is checked through exact
+distributional symmetries.
 """
 
 import math
@@ -12,14 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaussqpe import gaussian
-from gaussqpe.planner import plan_gsee, plan_sampling_round
+from gaussqpe import gaussian, simulator
+from gaussqpe.planner import PlanInfeasible, PlanInputs, plan_gsee, plan_sampling_round
 from gaussqpe.simulator import (
     DenseHamiltonian,
     DistributionTooLarge,
     SampleStream,
     SpectrumPlanMismatch,
     SpectrumSpec,
+    WindowTruncated,
     distribution_from_window,
     eigendecompose,
     gaussian_window,
@@ -30,6 +33,96 @@ from gaussqpe.simulator import (
 DFT_Q4_Z2 = 0.3110654943105191800531255
 DFT_Q4_Z3 = 0.2407251776266038805671965
 DFT_Q4_Z8 = 7.06015000521991564629776e-6
+
+# label -> (q, the plan's sigma_tilde, eigenphase, {bin: probability}):
+# the acceptance round plan, a q = 10 plan near the smallest sigma_bins a
+# planner sweep reached (1.77), and a q = 16 plan.
+TRUNCATED_WINDOW_DFT = {
+    "q12": (12, 0.0006730539066309329, -0.2, {
+        3221: 1.7330812974697462519e-69,
+        3264: 3.0152797081294411669e-6,
+        3265: 0.000015212101805336213324,
+        3266: 0.000067283352136021236822,
+        3267: 0.00026090523702919723904,
+        3268: 0.00088698188812874524305,
+        3269: 0.0026436471316341082403,
+        3270: 0.0069079470372467983117,
+        3271: 0.015825275941118010006,
+        3272: 0.031784132511634183888,
+        3273: 0.055966250618829470188,
+        3274: 0.086397035737336486714,
+        3275: 0.11693061946725400485,
+        3276: 0.13874407241198047887,
+        3277: 0.14433026334819461866,
+        3278: 0.13163068742573322148,
+        3279: 0.10524795683162044964,
+        3280: 0.073778016811368300309,
+        3281: 0.045341622763697292848,
+        3282: 0.024430025522879993807,
+        3283: 0.011540046560304461107,
+        3284: 0.0047791204949500080665,
+        3285: 0.0017351825791955863829,
+        3286: 0.00055233066577050422551,
+        3287: 0.00015413806852523202281,
+        3288: 0.000037711816158498215753,
+        3289: 8.0891290216539389415e-6,
+        3304: 1.0521555739006655346e-22,
+    }),
+    "q10": (10, 0.0017293621083082865, 0.1234567, {
+        91: 3.8052073519452735984e-31,
+        118: 2.7794899888200750966e-6,
+        119: 0.000034733140264996764594,
+        120: 0.00031552579242028857534,
+        121: 0.0020837113720839899133,
+        122: 0.010003503713117135603,
+        123: 0.034912310652075726788,
+        124: 0.088576176365176003101,
+        125: 0.1633680571567989045,
+        126: 0.2190429297329702101,
+        127: 0.21350262293104817807,
+        128: 0.15128263137675946321,
+        129: 0.07792679323231384963,
+        130: 0.029180747982495339748,
+        131: 0.0079436100148095185353,
+        132: 0.0015719954670182385773,
+        133: 0.00022614997495643886984,
+        134: 0.000023651227114892852493,
+        135: 1.7981366495552324199e-6,
+        144: 8.9429360338208233455e-23,
+    }),
+    "q16": (16, 4.6382995328986464e-05, -0.3712345, {
+        41145: 1.3025784804376220247e-83,
+        41193: 4.5531923894886528223e-6,
+        41194: 0.000019155430732668215586,
+        41195: 0.000072321407184586852397,
+        41196: 0.00024504217489368886561,
+        41197: 0.00074509874864849064696,
+        41198: 0.002033226935942211849,
+        41199: 0.0049791693773799406194,
+        41200: 0.010942762422755410888,
+        41201: 0.021582217539468468495,
+        41202: 0.038200072396672230074,
+        41203: 0.060678010277032070194,
+        41204: 0.086496294224218939429,
+        41205: 0.11065287348560121792,
+        41206: 0.12703603093617389043,
+        41207: 0.13088508557995996755,
+        41208: 0.12101868545307629178,
+        41209: 0.10041849910866398513,
+        41210: 0.074778034486793184347,
+        41211: 0.049972766229279963571,
+        41212: 0.029970346218906930311,
+        41213: 0.016130549213013987596,
+        41214: 0.0077912219072545167213,
+        41215: 0.0033772329543163779701,
+        41216: 0.0013137583450795901053,
+        41217: 0.00045863688803839480007,
+        41218: 0.00014368833129517661055,
+        41219: 0.000040399226064509392704,
+        41220: 0.000010193506739802103492,
+        41236: 1.1153215936650149125e-21,
+    }),
+}
 
 
 def test_distribution_matches_direct_dft():
@@ -271,6 +364,113 @@ class TestMixedDistribution:
         bad = SpectrumSpec(eigenphases=(-0.2, -0.19), overlaps_sq=(0.6, 0.4))
         with pytest.raises(SpectrumPlanMismatch):
             mixed_distribution(bad, acceptance_plan)
+
+    def test_refusal_counts_the_float64_arrays_built(
+        self, acceptance_spectrum, acceptance_plan
+    ):
+        # One eigenphase on 2**27 bins: (1 + 2) * 2**27 * 8 bytes, above 2 GiB.
+        plan = replace(acceptance_plan.round_plan, q=27)
+        one = SpectrumSpec(eigenphases=(acceptance_spectrum.ground_phase,),
+                           overlaps_sq=(1.0,))
+        with pytest.raises(DistributionTooLarge, match=f"need {3 * 8 << 27} bytes"):
+            mixed_distribution(one, plan)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("label", sorted(TRUNCATED_WINDOW_DFT))
+    def test_matches_truncated_window_dft(self, label, acceptance_plan):
+        plan = {
+            "q12": lambda: acceptance_plan.round_plan,
+            "q10": lambda: plan_sampling_round(0.001, 0.5, 0.325, 1, 0.9),
+            "q16": lambda: plan_sampling_round(0.01, 1.0, 0.01, 1, 0.05),
+        }[label]()
+        q, sigma_tilde, theta, truth = TRUNCATED_WINDOW_DFT[label]
+        assert (plan.q, plan.sigma_tilde) == (q, sigma_tilde)
+        spec = SpectrumSpec(eigenphases=(theta,), overlaps_sq=(1.0,))
+        closed = mixed_distribution(spec, plan).per_eigenstate[0]
+        fft = distribution_from_window(gaussian_window(q, sigma_tilde), theta)
+        bins = np.array(list(truth))
+        exact = np.array(list(truth.values()))
+        peak = exact.max()
+        closed_err = float(np.abs(closed[bins] - exact).max())
+        fft_err = float(np.abs(fft[bins] - exact).max())
+        # A few ulp of the peak, plus the window's cut at the register ends.
+        tol = (4 * np.finfo(np.float64).eps + math.exp(-((math.pi * plan.sigma_bins) ** 2))) * peak
+        assert closed_err <= tol
+        assert fft_err >= closed_err
+
+    def test_band_is_exact_zero_past_underflow(self, acceptance_plan):
+        plan = acceptance_plan.round_plan
+        spec = SpectrumSpec(eigenphases=(-0.2,), overlaps_sq=(1.0,))
+        row = mixed_distribution(spec, plan).per_eigenstate[0]
+        center = -0.2 * plan.n_bins
+        offsets = gaussian.wrap_mod(np.arange(plan.n_bins, dtype=np.float64), center, plan.q)
+        far = np.abs(offsets) > simulator._BAND_SIGMAS * plan.sigma_bins + 1.0
+        assert np.all(row[far] == 0.0)
+        assert np.all(row[~far] >= 0.0) and row.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_band_wider_than_register_sums_its_aliases(self, acceptance_plan):
+        # 2**5 bins at sigma_bins 2: the band spans about five register
+        # periods, and the guard still holds (exp(-32) of the peak).
+        q, sigma = 5, 2.0
+        plan = replace(acceptance_plan.round_plan, q=q, sigma_tilde=sigma / (1 << q))
+        spec = SpectrumSpec(eigenphases=(0.1,), overlaps_sq=(1.0,))
+        row = mixed_distribution(spec, plan).per_eigenstate[0]
+        z = np.arange(1 << q, dtype=np.float64)
+        aliases = sum(gaussian.g0(z + k * (1 << q), 0.1 * (1 << q), sigma) for k in range(-6, 7))
+        np.testing.assert_allclose(row, aliases, rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "q, sigma_bins",
+        [(12, 1.6), (4, 2.0)],
+        ids=["cut-by-register-ends", "aliases-overlap"],
+    )
+    def test_guard_fires_on_hand_built_plan(self, acceptance_plan, q, sigma_bins):
+        plan = replace(acceptance_plan.round_plan, q=q, sigma_tilde=sigma_bins / (1 << q))
+        spec = SpectrumSpec(eigenphases=(0.0,), overlaps_sq=(1.0,))
+        with pytest.raises(WindowTruncated, match="above 1e-12"):
+            mixed_distribution(spec, plan)
+
+    def test_no_feasible_plan_reaches_the_guard(self):
+        """A seeded planner sweep: every feasible plan passes the guard, so a
+        plan the planner calls feasible never makes the simulator raise."""
+        rng = np.random.default_rng(20261018)
+
+        def log_uniform(lo, hi):
+            return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+        plans = []
+        for _ in range(300):
+            try:
+                plans.append(
+                    plan_sampling_round(
+                        log_uniform(1e-8, 0.01),
+                        float(rng.uniform(0.05, 1.0)),
+                        float(rng.uniform(0.005, 0.6)),
+                        int(rng.integers(1, 5)),
+                        log_uniform(1e-5, 0.99),
+                    )
+                )
+            except PlanInfeasible:
+                pass
+        for _ in range(100):
+            gap = float(rng.uniform(0.01, 0.6))
+            inputs = PlanInputs(
+                delta_fail=log_uniform(1e-6, 0.5),
+                eta=float(rng.uniform(0.05, 1.0)),
+                Delta_true=gap,
+                epsilon=gap * log_uniform(1e-3, 0.9),
+                alpha=float(rng.uniform(0.0, 1.0)),
+                m=int(rng.integers(1, 5)),
+            )
+            try:
+                plans.append(plan_gsee(inputs).round_plan)
+            except PlanInfeasible:
+                pass
+        assert len(plans) >= 350
+        for plan in plans:
+            simulator._check_closed_form(plan)
+        assert min(plan.sigma_bins for plan in plans) > 1.67
 
 
 class TestSampleStream:
