@@ -10,6 +10,7 @@ analytic error and failure bound the sizing relies on.
 from .estimation import (
     EnergyEstimate,
     QpeEstimate,
+    RoundBudgetTooLarge,
     run_gsee,
     run_qpe_baseline,
     run_sampling_round,
@@ -66,6 +67,7 @@ __all__ = [
     "SampleStream",
     "EnergyEstimate",
     "QpeEstimate",
+    "RoundBudgetTooLarge",
     "hoeffding_sample_count",
     "run_sampling_round",
     "run_gsee",

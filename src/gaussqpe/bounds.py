@@ -814,6 +814,9 @@ def _mc_case(plan: PlanParams, mu_center: float, rounds: int, seed: int) -> Boun
     Failure is the operational event |basket mean - center| > 2K bins;
     every analytic failure mode implies it. The analytic rate is so far
     below resolution that any observed failure is a genuine red flag.
+    Rounds are drawn by ``run_gsee``'s own sampler,
+    ``estimation._draw_rounds``, from a Philox generator seeded by
+    ``seed``, so the shadow checks the estimator that runs.
     """
     theta0 = mu_center / plan.n_bins
     spec = simulator.SpectrumSpec(
@@ -821,13 +824,12 @@ def _mc_case(plan: PlanParams, mu_center: float, rounds: int, seed: int) -> Boun
         overlaps_sq=(plan.eta, 1.0 - plan.eta),
     )
     dist = simulator.mixed_distribution(spec, plan)
-    stream = simulator.SampleStream(dist, seed)
-    failures = 0
-    for _ in range(rounds):
-        basket = estimation.run_sampling_round(stream, plan)
-        mean = float(np.mean(basket.members))
-        if abs(mean - mu_center) > 2 * plan.K:
-            failures += 1
+    rng = np.random.Generator(np.random.Philox(seed))
+    _, counts, sums, _ = estimation._draw_rounds(
+        rng, dist, rounds, plan.M0, plan.two_K, plan.dark_bins
+    )
+    # The anchor bin holds at least one draw, so no count is 0.
+    failures = int(np.count_nonzero(np.abs(sums / counts - mu_center) > 2 * plan.K))
     with mpmath.workdps(_DPS):
         p_left, _, p_xleft = _TwoStateModel(plan, mu_center).fail_probs()
         analytic = 1 - (
@@ -864,10 +866,15 @@ def run_default_grid(
 
     Monte Carlo rounds run only on the eta sweep at the middle gap with
     the loosest budget, where a failure would be cheapest to see.
-    ``mc_rounds`` must be at least 1 and every center in [-1/2, 1/2).
+    ``mc_rounds`` must lie in [1, ``estimation._MAX_ROUNDS``] (the
+    rounds ``run_gsee`` holds in 2 GiB) and every center in [-1/2, 1/2).
     """
     if mc_rounds < 1:
         raise ValueError(f"mc_rounds must be at least 1, got {mc_rounds!r}")
+    if mc_rounds > estimation._MAX_ROUNDS:
+        raise ValueError(
+            f"mc_rounds must be at most {estimation._MAX_ROUNDS}, got {mc_rounds!r}"
+        )
     _check_mu_centers(mu_centers)
     cases: list[BoundCase] = []
     plans: list[PlanParams] = []

@@ -8,8 +8,8 @@ are byte-identical for a given (config, seed, runs), independent of
 thread count.
 
 Exit codes: 0 success, 1 bad input or schema, 2 infeasible plan,
-spectrum mismatch or a distribution too large to build, 3 bound
-violation in the laboratory grid.
+spectrum mismatch, a distribution too large to build or a round count
+too large to hold, 3 bound violation in the laboratory grid.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import bounds as bounds_lab
-from .estimation import run_gsee, run_qpe_baseline
+from .estimation import _MAX_ROUNDS, RoundBudgetTooLarge, run_gsee, run_qpe_baseline
 from .planner import (
     GseePlan,
     PlanInfeasible,
@@ -395,6 +395,8 @@ def _cmd_bounds(args, config) -> int:
     mc_rounds = _strict_int(node.get("mc_rounds", 2000), "bounds.mc_rounds")
     if mc_rounds < 1:
         raise ValueError(f"bounds.mc_rounds must be at least 1, got {mc_rounds}")
+    if mc_rounds > _MAX_ROUNDS:
+        raise ValueError(f"bounds.mc_rounds must be at most {_MAX_ROUNDS}, got {mc_rounds}")
 
     def floats(key: str, default: Sequence[float]) -> tuple[float, ...]:
         return tuple(_strict_float(x, f"bounds.{key} entry") for x in node.get(key, default))
@@ -497,6 +499,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except WindowTruncated as exc:
         print(f"window truncated: {exc}", file=sys.stderr)
+        return 2
+    except RoundBudgetTooLarge as exc:
+        print(f"round budget too large: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -31,9 +31,11 @@ The cost is O(M * (2K + dark_bins)) instead of O(M * M0). Rounds are
 drawn in blocks of ``_ROUND_BLOCK``, and the block fixes the order in
 which a run consumes its Philox generator: results are deterministic in
 (plan, distribution, seed), and changing the block changes the bytes.
-``basket_from_outcomes`` and ``run_sampling_round`` still window raw
-outcomes: the baseline, the bound lab's Monte Carlo shadow and the tests
-of ``run_gsee``'s law use them.
+The bound lab's Monte Carlo shadow runs ``_draw_rounds`` too, so rounds
+are simulated in this one place. ``basket_from_outcomes`` and
+``run_sampling_round`` still window raw outcomes, for the m >= 2 basket
+moment (``moment_from_basket``) and as the tests' oracle for the law of
+``_draw_rounds``; the baseline draws raw outcomes from ``SampleStream``.
 
 The rectangular-window majority-vote baseline lives here too, sized by
 ``planner.plan_qpe_baseline``.
@@ -47,6 +49,7 @@ import numpy as np
 
 from .planner import GseePlan, PlanParams, QpeBaseline, _check_order
 from .simulator import (
+    _MAX_DISTRIBUTION_BYTES,
     OutcomeDistribution,
     SampleStream,
     SpectrumSpec,
@@ -59,6 +62,7 @@ __all__ = [
     "MomentSample",
     "EnergyEstimate",
     "QpeEstimate",
+    "RoundBudgetTooLarge",
     "basket_from_outcomes",
     "run_sampling_round",
     "moment_from_basket",
@@ -73,6 +77,15 @@ _OVERLAP_ONE_TOL = 1e-12
 # 160 kB on the acceptance plan and are reused from the heap; at 256 they
 # are 1.25 MB each, and glibc maps and faults them afresh every block.
 _ROUND_BLOCK = 32
+# Bytes held per round by run_gsee: the four int64 statistics of
+# _draw_rounds and the float64 round means. Rounds are capped so that
+# these stay within the limit mixed_distribution puts on a distribution.
+_ROUND_BYTES = 5 * 8
+_MAX_ROUNDS = _MAX_DISTRIBUTION_BYTES // _ROUND_BYTES
+
+
+class RoundBudgetTooLarge(ValueError):
+    """The plan has too many rounds to hold their per-round arrays in memory."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +290,9 @@ def run_gsee(
     ``seed``, so results depend on (plan, dist, seed) and
     ``_ROUND_BLOCK`` only. ``n_left`` counts rounds whose anchor fell
     more than K bins left of the median anchor, the signature of a
-    left-outlier round.
+    left-outlier round. Raises ``RoundBudgetTooLarge`` before allocating
+    when the plan's M rounds would hold more than 2 GiB of per-round
+    arrays (40 bytes a round).
     """
     round_plan = plan.round_plan
     if dist.q != round_plan.q:
@@ -286,6 +301,11 @@ def run_gsee(
             f"has 2**{round_plan.q}; build it with mixed_distribution(spec, plan)"
         )
     M, M0 = plan.M, round_plan.M0
+    if M > _MAX_ROUNDS:
+        raise RoundBudgetTooLarge(
+            f"{M} rounds need {M * _ROUND_BYTES} bytes of per-round arrays, "
+            f"above the {_MAX_DISTRIBUTION_BYTES}-byte limit"
+        )
     anchors, counts, sums, darks = _draw_rounds(
         np.random.Generator(np.random.Philox(seed)),
         dist,

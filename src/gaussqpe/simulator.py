@@ -33,7 +33,8 @@ its far tails sit on a rounding floor near 1e-31.
 Sampling inverts the CDF of uniforms from a counter-based generator, so
 identical seeds reproduce identical byte streams regardless of draw
 batching. The inversion is a guide table (Chen & Asau 1974; Devroye 1986,
-section III.2): the unit interval is cut into 2**16 equal buckets, and a
+section III.2): the unit interval is cut into B equal buckets, B the
+smallest power of two at least the bin count but at most 2**16, and a
 bucket whose two edges fall into the same bin maps straight to it; only
 uniforms in the few buckets that straddle a CDF step are searched. Every
 draw is bit-identical to ``np.searchsorted(cdf, u, side="right")``.
@@ -79,8 +80,9 @@ _BAND_SIGMAS = math.sqrt(2.0 * 1074.0 * math.log(2.0))
 # Largest model error of the closed form, relative to the peak, that
 # mixed_distribution accepts (see the module docstring).
 _MODEL_ERROR_TOL = 1e-12
-# Guide-table buckets. A power of two, so u * _GUIDE_BUCKETS is exact for
-# every double u and its integer part is the bucket u lies in.
+# Most guide-table buckets. A table has the smallest power of two of
+# buckets at least its bin count, up to this; a power of two, so u * B is
+# exact for every double u and its integer part is the bucket u lies in.
 _GUIDE_BUCKETS = 1 << 16
 
 
@@ -416,8 +418,9 @@ class SampleStream:
         # The bin of every u in bucket j lies between the bins of its edges
         # j/B and (j+1)/B; where those agree the bucket resolves to it,
         # otherwise it is marked -1 and searched.
+        buckets = min(_GUIDE_BUCKETS, 1 << (cdf.size - 1).bit_length())
         edges = np.searchsorted(
-            cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="right"
+            cdf, np.arange(buckets + 1) / buckets, side="right"
         ).astype(np.int64, copy=False)
         guide = edges[:-1]
         guide[guide != edges[1:]] = -1
@@ -429,7 +432,7 @@ class SampleStream:
     def _bins(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0, 1) to int64 bins, equal bin for bin to
         ``np.searchsorted(cdf, u, side="right")``."""
-        bins = self._guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+        bins = self._guide[(u * self._guide.size).astype(np.intp)]
         miss = bins < 0
         bins[miss] = np.searchsorted(self._cdf, u[miss], side="right")
         return bins

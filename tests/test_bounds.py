@@ -13,6 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from gaussqpe import bounds
 from gaussqpe.bounds import (
@@ -358,6 +359,21 @@ def test_mc_case_sees_no_failures(plan):
     assert case.holds
     assert case.params["failures"] == 0
     assert case.bound >= 5.0 / 300.0
+
+
+@pytest.mark.parametrize("M0, seed", [(1, 20261001), (2, 20261002), (4, 20261004)])
+def test_mc_case_sees_failures_of_starved_rounds(M0, seed):
+    """With M0 = 1, 2 or 4 draws a round fails exactly when no draw lands
+    on the ground state (up to ~1e-100: the states sit a working gap
+    apart, far beyond 2K), so failures ~ Binomial(rounds, (1 - eta)**M0).
+    Two-sided binomial test at a level and seeds fixed in advance."""
+    plan = plan_sampling_round(0.01, 0.25, 0.1, 1, DEFAULT_EPS_REL)
+    rounds = 4000
+    case = bounds._mc_case(dataclasses.replace(plan, M0=M0), -0.25, rounds, seed)
+    failures = case.params["failures"]
+    p_fail = (1.0 - plan.eta) ** M0
+    assert stats.binomtest(failures, rounds, p_fail).pvalue > 1e-3
+    assert case.exact == failures / rounds
 
 
 def test_small_grid_report(capsys):

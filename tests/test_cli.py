@@ -19,7 +19,8 @@ from gaussqpe.bounds import (
     evaluate_plan_cases,
     run_default_grid,
 )
-from gaussqpe import cli
+from gaussqpe import bounds, cli, estimation
+from gaussqpe.estimation import _MAX_ROUNDS
 from gaussqpe.cli import main
 from gaussqpe.planner import plan_sampling_round
 
@@ -243,6 +244,37 @@ def test_mc_rounds_below_one_is_named_error(tmp_path, capsys):
     assert "bounds.mc_rounds must be at least 1" in err
     assert "Traceback" not in err
     assert not os.path.exists(os.path.join(out, "bounds.csv"))
+
+
+def test_mc_rounds_above_round_budget_is_named_error(tmp_path, capsys, monkeypatch):
+    # Refused before any grid work, so no plan is built and nothing drawn.
+    monkeypatch.setattr(bounds, "plan_sampling_round", None)
+    grid = {"etas": [0.5], "deltas": [0.01], "gaps": [0.1], "orders": [1], "mu_centers": [0.0]}
+    too_many = _MAX_ROUNDS + 1
+    with pytest.raises(ValueError, match=f"mc_rounds must be at most {_MAX_ROUNDS}"):
+        run_default_grid(**grid, mc_rounds=too_many)
+    config = {"bounds": {**grid, "mc_rounds": too_many}}
+    rc, out = run(tmp_path, ["--mode", "bounds"], config=config)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"bounds.mc_rounds must be at most {_MAX_ROUNDS}, got {too_many}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+
+
+def test_round_budget_too_large_exits_two(tmp_path, capsys, monkeypatch):
+    # epsilon 1e-5 at alpha 0 plans 830M rounds, 33 GB of per-round arrays.
+    def no_draw(*args):
+        raise AssertionError("rounds drawn past the round budget")
+
+    monkeypatch.setattr(estimation, "_draw_rounds", no_draw)
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["inputs"].update(epsilon=1e-5)
+    rc, out = run(tmp_path, ["--mode", "gsee"], config=config)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "round budget too large: 829997878 rounds need 33199915120 bytes" in err
+    assert not os.path.exists(os.path.join(out, "estimates.csv"))
 
 
 @pytest.mark.parametrize("center", [float("nan"), 3.0, 0.5, -0.75])

@@ -18,8 +18,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gaussqpe import estimation
 from gaussqpe.gaussian import wrap_mod
 from gaussqpe.estimation import (
+    _MAX_ROUNDS,
+    RoundBudgetTooLarge,
     _draw_rounds,
     _residues,
     basket_from_outcomes,
@@ -168,6 +171,27 @@ class TestRunGsee:
         spec = SpectrumSpec(eigenphases=(-0.31, -0.1), overlaps_sq=(0.7, 0.3))
         est = run_gsee(acceptance_plan, mixed_distribution(spec, acceptance_plan), 11)
         assert abs(est.mu_hat - (-0.31)) < 0.01
+
+    def test_round_budget_too_large_is_named_error(
+        self, acceptance_spectrum, acceptance_inputs, acceptance_plan, monkeypatch
+    ):
+        """A feasible plan whose rounds would not fit in memory is refused
+        before anything is drawn; epsilon 1e-4 (8.3M rounds) still runs."""
+
+        def no_draw(*args):
+            raise AssertionError("rounds drawn past the round budget")
+
+        monkeypatch.setattr(estimation, "_draw_rounds", no_draw)
+        dist = mixed_distribution(acceptance_spectrum, acceptance_plan)
+        deep = plan_gsee(replace(acceptance_inputs, epsilon=1e-5))
+        assert deep.M == 829_997_878
+        over = replace(acceptance_plan, M=_MAX_ROUNDS + 1)
+        for plan in (deep, over):
+            with pytest.raises(RoundBudgetTooLarge, match="above the 2147483648-byte"):
+                run_gsee(plan, dist, 1)
+        assert plan_gsee(replace(acceptance_inputs, epsilon=1e-4)).M <= _MAX_ROUNDS
+        with pytest.raises(AssertionError, match="past the round budget"):
+            run_gsee(replace(acceptance_plan, M=_MAX_ROUNDS), dist, 1)
 
 
 class TestQpeBaseline:

@@ -514,7 +514,7 @@ class TestSampleStream:
         # The fallback search must have run on some of these draws.
         ambiguous = stream._guide < 0
         assert 0 < ambiguous.sum() < 1000
-        assert np.any(ambiguous[(u * 2**16).astype(np.intp)])
+        assert np.any(ambiguous[(u * stream._guide.size).astype(np.intp)])
 
     def test_guide_table_matches_search_on_large_register(self):
         q = 20
@@ -531,6 +531,21 @@ class TestSampleStream:
         np.testing.assert_array_equal(
             stream._bins(u), np.searchsorted(cdf, u, side="right")
         )
+
+    @pytest.mark.parametrize(
+        "n_bins, buckets", [(1, 1), (5, 8), (128, 128), (129, 256), (1 << 20, 1 << 16)]
+    )
+    def test_guide_table_sized_to_distribution(self, n_bins, buckets):
+        probs = np.random.Generator(np.random.Philox(n_bins)).random(n_bins)
+        stream = SampleStream(probs, 4)
+        assert stream._guide.size == buckets
+        u = np.random.Generator(np.random.Philox(np.random.SeedSequence(4))).random(
+            10_000
+        )
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        expected = np.searchsorted(cdf, u, side="right")
+        np.testing.assert_array_equal(stream.draw(u.size), expected)
 
     def test_guide_table_on_bucket_edges(self):
         stream = SampleStream(np.array([0.5, 0.25, 0.125, 0.125]), 0)
