@@ -864,11 +864,22 @@ def run_default_grid(
 ) -> BoundReport:
     """Evaluate the full bound suite over the default plan grid.
 
-    Monte Carlo rounds run only on the eta sweep at the middle gap with
-    the loosest budget, where a failure would be cheapest to see.
-    ``mc_rounds`` must lie in [1, ``estimation._MAX_ROUNDS``] (the
-    rounds ``run_gsee`` holds in 2 GiB) and every center in [-1/2, 1/2).
+    Monte Carlo rounds run only on the eta sweep at the middle gap
+    (``sorted(gaps)[len(gaps) // 2]``) with the loosest budget and m = 1,
+    where a failure would be cheapest to see. Every axis must be
+    nonempty, ``mc_rounds`` must lie in [1, ``estimation._MAX_ROUNDS``]
+    (the rounds ``run_gsee`` holds in 2 GiB) and every center in
+    [-1/2, 1/2).
     """
+    for name, axis in (
+        ("etas", etas),
+        ("deltas", deltas),
+        ("gaps", gaps),
+        ("orders", orders),
+        ("mu_centers", mu_centers),
+    ):
+        if len(axis) == 0:
+            raise ValueError(f"bound grid axis {name} is empty")
     if mc_rounds < 1:
         raise ValueError(f"mc_rounds must be at least 1, got {mc_rounds!r}")
     if mc_rounds > estimation._MAX_ROUNDS:
@@ -886,10 +897,11 @@ def run_default_grid(
                     plans.append(plan)
                     cases.extend(evaluate_plan_cases(plan, mu_centers))
     if mc:
+        middle_gap = sorted(gaps)[len(gaps) // 2]
         mc_plans = [
             p
             for p in plans
-            if p.m == 1 and p.delta_input == max(deltas) and p.Delta_input == 0.1
+            if p.m == 1 and p.delta_input == max(deltas) and p.Delta_input == middle_gap
         ]
         for i, plan in enumerate(mc_plans):
             cases.append(_mc_case(plan, -0.25, mc_rounds, _MC_SEED + i))

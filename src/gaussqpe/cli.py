@@ -471,6 +471,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Checked before --out is touched: an input error writes nothing.
         if args.mode in _PLANNING_MODES:
             args.plan_inputs = [_inputs_from_config(config, a) for a in args.alpha_values]
+        # The estimator reports the basket mean, which only an m = 1 plan sizes.
+        if args.mode in ("gsee", "sweep") and args.plan_inputs[0].m != 1:
+            raise ValueError(
+                f"inputs.m must be 1 in {args.mode} mode (the estimator reports "
+                f"the basket mean), got {args.plan_inputs[0].m}"
+            )
 
         os.makedirs(args.out, exist_ok=True)
         _echo_config(args.out, args, config)

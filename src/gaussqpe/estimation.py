@@ -2,11 +2,12 @@
 
 A sampling round draws M0 outcomes, wraps them to signed residues, and
 keeps the basket of samples within 2K bins of the leftmost residue seen.
-The basket mean (or a higher moment of the basket) is the round's
-estimate; rounds are averaged by an outer Hoeffding layer. The leftmost
-anchor rule is what makes the round robust to excited-state mass: any
-contaminant sits at least a working gap to the right of the ground bin,
-so a basket anchored on the left edge never reaches it.
+The basket mean is the round's estimate; rounds are averaged by an outer
+Hoeffding layer sized for that mean, so ``run_gsee`` runs only plans of
+moment order m = 1. The leftmost anchor rule is what makes the round
+robust to excited-state mass: any contaminant sits at least a working
+gap to the right of the ground bin, so a basket anchored on the left
+edge never reaches it.
 
 ``run_gsee`` never draws the M0 outcomes. The round mean reads four
 numbers only: the anchor a, the basket count and sum, and the dark count
@@ -33,9 +34,9 @@ which a run consumes its Philox generator: results are deterministic in
 (plan, distribution, seed), and changing the block changes the bytes.
 The bound lab's Monte Carlo shadow runs ``_draw_rounds`` too, so rounds
 are simulated in this one place. ``basket_from_outcomes`` and
-``run_sampling_round`` still window raw outcomes, for the m >= 2 basket
-moment (``moment_from_basket``) and as the tests' oracle for the law of
-``_draw_rounds``; the baseline draws raw outcomes from ``SampleStream``.
+``run_sampling_round`` still window raw outcomes, as the tests' oracle
+for the law of ``_draw_rounds``; the baseline draws raw outcomes from
+``SampleStream``.
 
 The rectangular-window majority-vote baseline lives here too, sized by
 ``planner.plan_qpe_baseline``.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planner import GseePlan, PlanParams, QpeBaseline, _check_order
+from .planner import GseePlan, PlanParams, QpeBaseline
 from .simulator import (
     _MAX_DISTRIBUTION_BYTES,
     OutcomeDistribution,
@@ -59,13 +60,11 @@ from .simulator import (
 
 __all__ = [
     "Basket",
-    "MomentSample",
     "EnergyEstimate",
     "QpeEstimate",
     "RoundBudgetTooLarge",
     "basket_from_outcomes",
     "run_sampling_round",
-    "moment_from_basket",
     "run_gsee",
     "run_qpe_baseline",
 ]
@@ -100,15 +99,6 @@ class Basket:
     @property
     def size(self) -> int:
         return int(self.members.size)
-
-
-@dataclass(frozen=True)
-class MomentSample:
-    """Basket moment in raw bin units and in relative (turns**m) units."""
-
-    m: int
-    value_bins: float
-    value_rel: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,22 +162,6 @@ def basket_from_outcomes(outcomes: np.ndarray, plan: PlanParams) -> Basket:
 def run_sampling_round(stream: SampleStream, plan: PlanParams) -> Basket:
     """Draw one round of M0 outcomes and window them."""
     return basket_from_outcomes(stream.draw(plan.M0), plan)
-
-
-def moment_from_basket(
-    basket: Basket, plan: PlanParams, m: int | None = None
-) -> MomentSample:
-    """Basket moment of order ``m`` (default: the plan's order)."""
-    if m is None:
-        m = plan.m
-    _check_order(m)
-    values = basket.members.astype(np.float64)
-    value_bins = float(np.mean(values**m))
-    return MomentSample(
-        m=m,
-        value_bins=value_bins,
-        value_rel=value_bins / float(plan.n_bins) ** m,
-    )
 
 
 def _draw_rounds(
@@ -290,11 +264,18 @@ def run_gsee(
     ``seed``, so results depend on (plan, dist, seed) and
     ``_ROUND_BLOCK`` only. ``n_left`` counts rounds whose anchor fell
     more than K bins left of the median anchor, the signature of a
-    left-outlier round. Raises ``RoundBudgetTooLarge`` before allocating
-    when the plan's M rounds would hold more than 2 GiB of per-round
-    arrays (40 bytes a round).
+    left-outlier round. Raises ``ValueError`` unless the round is sized
+    for the basket mean (moment order m = 1), the estimate the Hoeffding
+    layer covers, and ``RoundBudgetTooLarge`` before allocating when the
+    plan's M rounds would hold more than 2 GiB of per-round arrays
+    (40 bytes a round).
     """
     round_plan = plan.round_plan
+    if round_plan.m != 1:
+        raise ValueError(
+            f"run_gsee estimates the basket mean; a round planned for moment "
+            f"order m={round_plan.m} is not covered by its guarantee"
+        )
     if dist.q != round_plan.q:
         raise ValueError(
             f"distribution is on 2**{dist.q} bins but the plan's register "

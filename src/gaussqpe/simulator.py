@@ -386,34 +386,28 @@ def mixed_distribution(
 class SampleStream:
     """Deterministic bin sampler: guide-table inverse-CDF lookups against a
     private counter-based generator, so draw batching never changes the
-    stream."""
+    stream. ``probs`` is a probability vector over the bins, normalised
+    here; for a distribution pass its ``mixed`` row."""
 
-    def __init__(
-        self,
-        dist: OutcomeDistribution | np.ndarray,
-        seed: int | np.random.SeedSequence,
-    ) -> None:
-        if isinstance(dist, OutcomeDistribution):
-            cdf = dist.cdf
-        else:
-            probs = np.asarray(dist, dtype=np.float64)
-            finite = np.isfinite(probs)
-            if probs.ndim == 1 and not finite.all():
-                bad = np.flatnonzero(~finite)
-                raise ValueError(
-                    f"probabilities must be finite; entries {bad.tolist()} are "
-                    f"{probs[bad].tolist()}"
-                )
-            if probs.ndim != 1 or probs.size == 0 or np.any(probs < 0.0):
-                raise ValueError("probabilities must be a nonnegative 1-d array")
-            with np.errstate(over="ignore"):  # an overflowing total is rejected below
-                cdf = np.cumsum(probs)
-            if not 0.0 < cdf[-1] < np.inf:
-                raise ValueError(
-                    "probabilities must have a positive, finite total mass, "
-                    f"got {float(cdf[-1])!r}"
-                )
-            cdf = cdf / cdf[-1]
+    def __init__(self, probs: np.ndarray, seed: int | np.random.SeedSequence) -> None:
+        probs = np.asarray(probs, dtype=np.float64)
+        finite = np.isfinite(probs)
+        if probs.ndim == 1 and not finite.all():
+            bad = np.flatnonzero(~finite)
+            raise ValueError(
+                f"probabilities must be finite; entries {bad.tolist()} are "
+                f"{probs[bad].tolist()}"
+            )
+        if probs.ndim != 1 or probs.size == 0 or np.any(probs < 0.0):
+            raise ValueError("probabilities must be a nonnegative 1-d array")
+        with np.errstate(over="ignore"):  # an overflowing total is rejected below
+            cdf = np.cumsum(probs)
+        if not 0.0 < cdf[-1] < np.inf:
+            raise ValueError(
+                "probabilities must have a positive, finite total mass, "
+                f"got {float(cdf[-1])!r}"
+            )
+        cdf = cdf / cdf[-1]
         self._cdf = cdf
         # The bin of every u in bucket j lies between the bins of its edges
         # j/B and (j+1)/B; where those agree the bucket resolves to it,

@@ -376,6 +376,41 @@ def test_mc_case_sees_failures_of_starved_rounds(M0, seed):
     assert case.exact == failures / rounds
 
 
+def test_mc_case_failure_event_reads_the_basket_mean(monkeypatch):
+    """Crafted round statistics with half the draws in the basket: means
+    2K+1 and -2K-1 miss the center -1/4 by more than 2K, means 2K-1 and 0
+    do not. A shadow that divided basket sums by M0 would halve the means
+    and see no failure."""
+    plan = plan_sampling_round(0.01, 0.25, 0.1, 1, DEFAULT_EPS_REL)
+    assert (plan.K, plan.M0) == (272, 14688)
+    K, count = plan.K, plan.M0 // 2
+    means = np.array([2 * K + 1, -2 * K - 1, 2 * K - 1, 0])
+
+    def crafted(rng, dist, rounds, M0, two_K, dark_bins):
+        assert (rounds, M0, two_K) == (means.size, plan.M0, plan.two_K)
+        counts = np.full(rounds, count, dtype=np.int64)
+        zeros = np.zeros(rounds, dtype=np.int64)
+        return zeros, counts, means * counts, zeros
+
+    monkeypatch.setattr(bounds.estimation, "_draw_rounds", crafted)
+    case = bounds._mc_case(plan, -0.25, means.size, 1)
+    assert case.params["failures"] == 2
+
+
+def test_mc_shadow_runs_at_the_middle_gap():
+    """A grid whose gaps leave out 0.1 still gets one shadow case per eta."""
+    report = run_default_grid(
+        etas=(0.25, 0.5),
+        deltas=(0.01,),
+        gaps=(0.05, 0.2),
+        orders=(1,),
+        mu_centers=(0.0,),
+        mc_rounds=50,
+    )
+    shadow = [c.params["plan"] for c in report.cases if c.kind == "mc_round_failure"]
+    assert shadow == ["eta0.25_delta0.01_gap0.2_m1", "eta0.5_delta0.01_gap0.2_m1"]
+
+
 def test_small_grid_report(capsys):
     report = run_default_grid(
         etas=(0.5,),

@@ -277,6 +277,23 @@ def test_round_budget_too_large_exits_two(tmp_path, capsys, monkeypatch):
     assert not os.path.exists(os.path.join(out, "estimates.csv"))
 
 
+@pytest.mark.parametrize("axis", ["etas", "deltas", "gaps", "orders", "mu_centers"])
+def test_empty_bound_grid_axis_is_named_error(tmp_path, capsys, monkeypatch, axis):
+    # Refused before any grid work, so no plan is built.
+    monkeypatch.setattr(bounds, "plan_sampling_round", None)
+    grid = {"etas": [0.5], "deltas": [0.01], "gaps": [0.1], "orders": [1], "mu_centers": [0.0]}
+    grid[axis] = []
+    with pytest.raises(ValueError, match=f"bound grid axis {axis} is empty"):
+        run_default_grid(**grid)
+    rc, out = run(tmp_path, ["--mode", "bounds"], config={"bounds": grid})
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"bound grid axis {axis} is empty" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
 @pytest.mark.parametrize("center", [float("nan"), 3.0, 0.5, -0.75])
 def test_mu_centers_outside_central_bin_are_named_error(tmp_path, capsys, center):
     grid = {"etas": [0.5], "deltas": [0.01], "gaps": [0.1], "orders": [1]}
@@ -354,6 +371,30 @@ def test_gsee_thread_count_does_not_change_bytes(tmp_path):
         a = Path(outs[0], name).read_bytes()
         b = Path(outs[1], name).read_bytes()
         assert a == b, name
+
+
+@pytest.mark.parametrize("mode", ["gsee", "sweep"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_estimator_modes_refuse_higher_moment_orders(tmp_path, capsys, mode, m):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["inputs"]["m"] = m
+    rc, out = run(tmp_path, ["--mode", mode], config=config)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"inputs.m must be 1 in {mode} mode" in err
+    assert f"got {m}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_plan_mode_still_plans_higher_moment_orders(tmp_path):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["inputs"]["m"] = 2
+    rc, out = run(tmp_path, ["--mode", "plan"], config=config)
+    assert rc == 0
+    (row,) = read_csv(os.path.join(out, "plans.csv"))
+    assert row["round_plan.m"] == "2"
+    assert row["round_plan.M0"] == "4522"
 
 
 @pytest.mark.parametrize("mode", ["plan", "spectrum", "gsee", "sweep"])

@@ -26,7 +26,6 @@ from gaussqpe.estimation import (
     _draw_rounds,
     _residues,
     basket_from_outcomes,
-    moment_from_basket,
     run_gsee,
     run_qpe_baseline,
     run_sampling_round,
@@ -119,19 +118,6 @@ def test_basket_rejects_non_integer_and_out_of_range_outcomes(round_plan):
     assert edge.anchor == -1
 
 
-def test_moment_from_basket(round_plan):
-    outcomes = np.array([100, 102, 104])
-    basket = basket_from_outcomes(outcomes, round_plan)
-    first = moment_from_basket(basket, round_plan)
-    assert first.m == round_plan.m == 1
-    assert first.value_bins == pytest.approx(102.0)
-    assert first.value_rel == pytest.approx(102.0 / round_plan.n_bins)
-    second = moment_from_basket(basket, round_plan, m=2)
-    assert second.value_bins == pytest.approx((100**2 + 102**2 + 104**2) / 3.0)
-    with pytest.raises(ValueError):
-        moment_from_basket(basket, round_plan, m=7)
-
-
 def test_round_uses_plan_sample_count(round_plan):
     probs = np.zeros(round_plan.n_bins)
     probs[50] = 1.0
@@ -192,6 +178,22 @@ class TestRunGsee:
         assert plan_gsee(replace(acceptance_inputs, epsilon=1e-4)).M <= _MAX_ROUNDS
         with pytest.raises(AssertionError, match="past the round budget"):
             run_gsee(replace(acceptance_plan, M=_MAX_ROUNDS), dist, 1)
+
+    def test_higher_moment_plan_is_refused_before_drawing(
+        self, acceptance_spectrum, acceptance_inputs, monkeypatch
+    ):
+        """The Hoeffding layer sizes M for the basket mean only, so a round
+        planned for m = 2 is refused, not silently run as a mean."""
+
+        def no_draw(*args):
+            raise AssertionError("rounds drawn for an m = 2 plan")
+
+        monkeypatch.setattr(estimation, "_draw_rounds", no_draw)
+        plan = plan_gsee(replace(acceptance_inputs, m=2))
+        assert plan.round_plan.M0 == 4522
+        dist = mixed_distribution(acceptance_spectrum, plan)
+        with pytest.raises(ValueError, match="moment order m=2"):
+            run_gsee(plan, dist, 1)
 
 
 class TestQpeBaseline:
@@ -332,7 +334,7 @@ def test_round_sampler_matches_sample_stream(acceptance_plan, spectrum):
     round_plan = acceptance_plan.round_plan
     dist = mixed_distribution(SpectrumSpec(*spectrum), acceptance_plan)
     rounds = 4000
-    stream = SampleStream(dist, 77)
+    stream = SampleStream(dist.mixed, 77)
     oracle = [run_sampling_round(stream, round_plan) for _ in range(rounds)]
     anchors, counts, sums, _ = _draw(
         dist, rounds, round_plan.M0, round_plan.two_K, round_plan.dark_bins, 78

@@ -477,18 +477,18 @@ class TestSampleStream:
     def test_deterministic_and_batch_invariant(self, acceptance_spectrum,
                                                acceptance_plan):
         dist = mixed_distribution(acceptance_spectrum, acceptance_plan)
-        a = SampleStream(dist, 99).draw(1000)
-        b = SampleStream(dist, 99).draw(1000)
+        a = SampleStream(dist.mixed, 99).draw(1000)
+        b = SampleStream(dist.mixed, 99).draw(1000)
         np.testing.assert_array_equal(a, b)
-        stream = SampleStream(dist, 99)
+        stream = SampleStream(dist.mixed, 99)
         chunks = np.concatenate([stream.draw(100) for _ in range(10)])
         np.testing.assert_array_equal(a, chunks)
         assert a.dtype == np.int64
 
     def test_seed_changes_stream(self, acceptance_spectrum, acceptance_plan):
         dist = mixed_distribution(acceptance_spectrum, acceptance_plan)
-        a = SampleStream(dist, 1).draw(200)
-        b = SampleStream(dist, 2).draw(200)
+        a = SampleStream(dist.mixed, 1).draw(200)
+        b = SampleStream(dist.mixed, 2).draw(200)
         assert not np.array_equal(a, b)
 
     def test_frequencies_match_probabilities(self):
@@ -504,7 +504,7 @@ class TestSampleStream:
         self, acceptance_spectrum, acceptance_plan
     ):
         dist = mixed_distribution(acceptance_spectrum, acceptance_plan)
-        stream = SampleStream(dist, 5)
+        stream = SampleStream(dist.mixed, 5)
         u = np.random.Generator(np.random.Philox(np.random.SeedSequence(5))).random(
             1_000_000
         )
