@@ -46,6 +46,7 @@ from .planner import (
     _PREDICATE_CEILING,
     DEFAULT_INTERP_COEFF,
     PlanParams,
+    _field_values,
     compute_C_eta,
     plan_sampling_round,
 )
@@ -82,7 +83,6 @@ class BoundCase:
     """One verified inequality instance."""
 
     kind: str
-    params: dict[str, Any] = field(compare=False)
     exact: float
     bound: float
     margin: float
@@ -91,6 +91,7 @@ class BoundCase:
     margin_log10: float
     preconditions_met: bool
     holds: bool
+    params: dict[str, Any] = field(compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,22 +118,8 @@ class BoundReport:
         return min(vals) if vals else math.nan
 
     def to_rows(self) -> list[dict[str, Any]]:
-        rows = []
-        for c in self.cases:
-            row = {
-                "kind": c.kind,
-                "exact": c.exact,
-                "bound": c.bound,
-                "margin": c.margin,
-                "exact_log10": c.exact_log10,
-                "bound_log10": c.bound_log10,
-                "margin_log10": c.margin_log10,
-                "preconditions_met": c.preconditions_met,
-                "holds": c.holds,
-                "params": c.params,
-            }
-            rows.append(row)
-        return rows
+        """One row per case; its keys are the ``BoundCase`` fields, in order."""
+        return [_field_values(c) for c in self.cases]
 
     def summary(self) -> dict[str, Any]:
         """Counts per kind, and the worst finite margin_log10 overall and
@@ -174,7 +161,6 @@ def _case(
         margin = bound - exact
     return BoundCase(
         kind=kind,
-        params=params,
         exact=float(exact),
         bound=float(bound),
         margin=float(margin),
@@ -183,6 +169,7 @@ def _case(
         margin_log10=_log10_or(margin) if margin >= 0 else math.nan,
         preconditions_met=preconditions_met,
         holds=bool(margin >= 0),
+        params=params,
     )
 
 
@@ -866,10 +853,10 @@ def run_default_grid(
 
     Monte Carlo rounds run only on the eta sweep at the middle gap
     (``sorted(gaps)[len(gaps) // 2]``) with the loosest budget and m = 1,
-    where a failure would be cheapest to see. Every axis must be
-    nonempty, ``mc_rounds`` must lie in [1, ``estimation._MAX_ROUNDS``]
-    (the rounds ``run_gsee`` holds in 2 GiB) and every center in
-    [-1/2, 1/2).
+    where a failure would be cheapest to see, so with ``mc`` true
+    ``orders`` must hold 1. Every axis must be nonempty, ``mc_rounds``
+    must lie in [1, ``estimation._MAX_ROUNDS``] (the rounds ``run_gsee``
+    holds in 2 GiB) and every center in [-1/2, 1/2).
     """
     for name, axis in (
         ("etas", etas),
@@ -880,6 +867,11 @@ def run_default_grid(
     ):
         if len(axis) == 0:
             raise ValueError(f"bound grid axis {name} is empty")
+    if mc and 1 not in orders:
+        raise ValueError(
+            f"the Monte Carlo shadow runs at m = 1, but orders {tuple(orders)} "
+            "has no 1; add 1 to orders or set mc to false"
+        )
     if mc_rounds < 1:
         raise ValueError(f"mc_rounds must be at least 1, got {mc_rounds!r}")
     if mc_rounds > estimation._MAX_ROUNDS:

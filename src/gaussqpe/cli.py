@@ -2,10 +2,11 @@
 
 One invocation runs one mode and writes its artifacts into the output
 directory: a config echo, CSV tables with floats at full round-trip
-precision, and a JSON summary. Runs are deterministic in the master
-seed: per-run generators are spawned from it by run index, so results
-are byte-identical for a given (config, seed, runs), independent of
-thread count.
+precision, and a JSON summary. The directory is made only once the
+mode's results are in hand, so a run that exits 1 or 2 writes nothing.
+Runs are deterministic in the master seed: per-run generators are
+spawned from it by run index, so results are byte-identical for a given
+(config, seed, runs), independent of thread count.
 
 Exit codes: 0 success, 1 bad input or schema, 2 infeasible plan,
 spectrum mismatch, a distribution too large to build or a round count
@@ -74,12 +75,14 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(path: str, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
+def _write_csv(path: str, rows: Sequence[dict]) -> None:
+    """Rows whose keys are the columns, the same keys in the same order in
+    every row; the header is the first row's keys."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+            writer.writerow([_fmt(value) for value in row.values()])
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -188,7 +191,10 @@ def _alpha_values(args: argparse.Namespace, config: dict[str, Any]) -> list[floa
     return alphas
 
 
-def _echo_config(out_dir: str, args: argparse.Namespace, config: dict[str, Any]) -> None:
+def _open_out(args: argparse.Namespace, config: dict[str, Any]) -> str:
+    """Create the output directory and echo the config into it; a mode
+    calls this only once it holds every result it writes."""
+    os.makedirs(args.out, exist_ok=True)
     # The thread count is left out: it must not change a single output byte.
     payload = {
         "mode": args.mode,
@@ -197,25 +203,24 @@ def _echo_config(out_dir: str, args: argparse.Namespace, config: dict[str, Any])
         "alpha_list": args.alpha_values,
         "config": config,
     }
-    _write_json(os.path.join(out_dir, "config-echo.json"), payload)
+    _write_json(os.path.join(args.out, "config-echo.json"), payload)
+    return args.out
 
 
-def _plan_rows(plans: Sequence[GseePlan]) -> tuple[list[str], list[dict]]:
-    rows = [flatten_record(plan.to_dict()) for plan in plans]
-    names = sorted({name for row in rows for name in row})
-    return names, rows
+def _write_plans(out: str, plans: Sequence[GseePlan]) -> None:
+    # Every plan flattens to the same sorted keys.
+    _write_csv(os.path.join(out, "plans.csv"), [flatten_record(p.to_dict()) for p in plans])
 
 
 def _cmd_plan(args, config) -> int:
     plans = [plan_gsee(inputs) for inputs in args.plan_inputs]
-    names, rows = _plan_rows(plans)
-    _write_csv(os.path.join(args.out, "plans.csv"), names, rows)
-    with open(os.path.join(args.out, "plan.txt"), "w") as fh:
-        fh.write(plan_to_text(plans[0]))
+    text = plan_to_text(plans[0])
     if "qpe" in config:
-        baseline = plan_qpe_baseline(*_qpe_targets(config))
-        with open(os.path.join(args.out, "plan.txt"), "a") as fh:
-            fh.write(plan_to_text(baseline))
+        text += plan_to_text(plan_qpe_baseline(*_qpe_targets(config)))
+    out = _open_out(args, config)
+    _write_plans(out, plans)
+    with open(os.path.join(out, "plan.txt"), "w") as fh:
+        fh.write(text)
     for plan in plans:
         rp = plan.round_plan
         print(
@@ -231,16 +236,15 @@ def _cmd_spectrum(args, config) -> int:
     plan = plan_gsee(args.plan_inputs[0])
     dist = mixed_distribution(spec, plan)
     n = dist.n_bins
-    fieldnames = ["z", "P_mixed"] + [f"P_{j}" for j in range(spec.J)]
     rows = []
     for z in range(n):
         row = {"z": z, "P_mixed": float(dist.mixed[z])}
         for j in range(spec.J):
             row[f"P_{j}"] = float(dist.per_eigenstate[j, z])
         rows.append(row)
-    _write_csv(os.path.join(args.out, "spectrum.csv"), fieldnames, rows)
-    names, plan_rows = _plan_rows([plan])
-    _write_csv(os.path.join(args.out, "plans.csv"), names, plan_rows)
+    out = _open_out(args, config)
+    _write_csv(os.path.join(out, "spectrum.csv"), rows)
+    _write_plans(out, [plan])
     print(f"wrote spectrum.csv with {n} bins for {spec.J} eigenphases")
     return 0
 
@@ -321,14 +325,11 @@ def _cmd_gsee(args, config, sweep: bool = False) -> int:
             f"max |err| = {max(errs):.3e} (target {plan.inputs.epsilon:g})"
         )
 
-    fieldnames = [
-        "run_id", "alpha", "q", "M", "M0", "mu_hat", "err", "n_dark", "n_left", *_DIAGNOSTICS
-    ]
-    _write_csv(os.path.join(args.out, "estimates.csv"), fieldnames, rows)
-    names, plan_rows = _plan_rows(plans)
-    _write_csv(os.path.join(args.out, "plans.csv"), names, plan_rows)
+    out = _open_out(args, config)
+    _write_csv(os.path.join(out, "estimates.csv"), rows)
+    _write_plans(out, plans)
     _write_json(
-        os.path.join(args.out, "summary.json"),
+        os.path.join(out, "summary.json"),
         {"mode": "sweep" if sweep else "gsee", "seed": args.seed, "alphas": summary_alphas},
     )
     return 0
@@ -363,14 +364,11 @@ def _cmd_qpe(args, config) -> int:
                 "success": success,
             }
         )
-    _write_csv(
-        os.path.join(args.out, "estimates.csv"),
-        ["run_id", "q", "n_samples", "theta_hat", "err", "success"],
-        rows,
-    )
     rate = failures / args.runs
+    out = _open_out(args, config)
+    _write_csv(os.path.join(out, "estimates.csv"), rows)
     _write_json(
-        os.path.join(args.out, "summary.json"),
+        os.path.join(out, "summary.json"),
         {
             "mode": "qpe",
             "seed": args.seed,
@@ -414,25 +412,12 @@ def _cmd_bounds(args, config) -> int:
         mc=mc,
         mc_rounds=mc_rounds,
     )
-    rows = []
-    for row in report.to_rows():
-        flat = dict(row)
-        flat["params"] = json.dumps(row["params"], sort_keys=True)
-        rows.append(flat)
-    fieldnames = [
-        "kind",
-        "exact",
-        "bound",
-        "margin",
-        "exact_log10",
-        "bound_log10",
-        "margin_log10",
-        "preconditions_met",
-        "holds",
-        "params",
+    rows = [
+        {**row, "params": json.dumps(row["params"], sort_keys=True)} for row in report.to_rows()
     ]
-    _write_csv(os.path.join(args.out, "bounds.csv"), fieldnames, rows)
-    _write_json(os.path.join(args.out, "summary.json"), report.summary())
+    out = _open_out(args, config)
+    _write_csv(os.path.join(out, "bounds.csv"), rows)
+    _write_json(os.path.join(out, "summary.json"), report.summary())
     print(
         f"bound cases: {report.n_cases}, violations: {report.n_violations}, "
         f"worst margin 1e{report.worst_margin_log10:.1f}"
@@ -467,8 +452,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError(f"runs must be positive, got {args.runs}")
         if args.threads < 0:
             raise ValueError(f"threads must be nonnegative (0 = auto), got {args.threads}")
+        if args.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {args.seed}")
         args.alpha_values = _alpha_values(args, config)
-        # Checked before --out is touched: an input error writes nothing.
         if args.mode in _PLANNING_MODES:
             args.plan_inputs = [_inputs_from_config(config, a) for a in args.alpha_values]
         # The estimator reports the basket mean, which only an m = 1 plan sizes.
@@ -477,9 +463,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"inputs.m must be 1 in {args.mode} mode (the estimator reports "
                 f"the basket mean), got {args.plan_inputs[0].m}"
             )
-
-        os.makedirs(args.out, exist_ok=True)
-        _echo_config(args.out, args, config)
 
         if args.mode == "plan":
             return _cmd_plan(args, config)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import mpmath
@@ -228,30 +228,12 @@ class PlanParams:
         return self.two_K_plus_1 - 1
 
     def to_dict(self) -> dict[str, Any]:
+        # audit is left out of the record until plan.txt and plans.csv report it.
         return {
-            "m": self.m,
-            "eta": self.eta,
-            "eps_rel_target": self.eps_rel_target,
-            "Delta_input": self.Delta_input,
-            "Delta_work": self.Delta_work,
-            "delta_input": self.delta_input,
-            "log_inv_delta_work": self.log_inv_delta_work,
-            "delta_work": self.delta_work,
-            "M0": self.M0,
-            "M0_nominal": self.M0_nominal,
-            "sigma_tilde": self.sigma_tilde,
-            "sigma_bins": self.sigma_bins,
-            "q": self.q,
-            "n_bins": self.n_bins,
-            "K": self.K,
-            "two_K_plus_1": self.two_K_plus_1,
-            "dark_bins": self.dark_bins,
-            "C_eta": self.C_eta,
-            "u_value": self.u_value,
-            "L_value": self.L_value,
-            "q_lower_bound": self.q_lower_bound,
-            "register_query_bound": self.register_query_bound,
+            **_field_values(self, "audit"),
             "constraint_flags": dict(self.constraint_flags),
+            "sigma_bins": self.sigma_bins,
+            "n_bins": self.n_bins,
         }
 
 
@@ -273,18 +255,8 @@ class GseePlan:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "delta_fail": self.inputs.delta_fail,
-            "eta": self.inputs.eta,
-            "Delta_true": self.inputs.Delta_true,
-            "epsilon": self.inputs.epsilon,
-            "alpha": self.inputs.alpha,
-            "m": self.inputs.m,
-            "c": self.inputs.c,
-            "Delta_alpha": self.Delta_alpha,
-            "M": self.M,
-            "delta_tilde_1": self.delta_tilde_1,
-            "delta_2": self.delta_2,
-            "support_bound": self.support_bound,
+            **_field_values(self.inputs),
+            **_field_values(self, "inputs"),
             "total_samples": self.total_samples,
             "round_plan": self.round_plan.to_dict(),
         }
@@ -300,12 +272,7 @@ class QpeBaseline:
     n_samples: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "q": self.q,
-            "n_samples": self.n_samples,
-        }
+        return _field_values(self)
 
 
 def _window_width(q: int, Delta: float) -> int:
@@ -554,6 +521,11 @@ def plan_qpe_baseline(epsilon: float, delta: float) -> QpeBaseline:
     q = max(1, math.ceil(math.log2(1.0 / epsilon)))
     n = max(1, math.ceil(QPE_VOTE_COEFF * math.log(1.0 / delta)))
     return QpeBaseline(epsilon=epsilon, delta=delta, q=q, n_samples=n)
+
+
+def _field_values(record: Any, *skip: str) -> dict[str, Any]:
+    """A dataclass's fields, shallow, in declaration order, less ``skip``."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
 
 
 def flatten_record(record: dict[str, Any]) -> dict[str, Any]:

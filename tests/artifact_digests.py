@@ -1,0 +1,85 @@
+"""Print a sha256 of every artifact and of the stdout of each CLI mode.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/artifact_digests.py > digests.txt
+
+Each mode runs through ``gaussqpe.cli.main`` on the acceptance config
+(plan at alpha 0, 0.5 and 1; spectrum; gsee at one and two threads;
+sweep; the qpe baseline at 50 runs; bounds on the benchmark's sub-grid).
+Every line reads ``<run>/<file> <sha256>``, so two checkouts make the
+same bytes when ``diff`` of their outputs is empty. Not a pytest module.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from gaussqpe.cli import main
+
+CONFIG = {
+    "inputs": {
+        "delta_fail": 0.1,
+        "eta": 0.5,
+        "Delta_true": 0.15,
+        "epsilon": 0.01,
+        "alpha": 0.0,
+    },
+    "spectrum": {"eigenphases": [-0.2, -0.05, 0.15], "overlaps_sq": [0.5, 0.3, 0.2]},
+    "qpe": {"epsilon": 0.01, "delta": 0.01},
+    # The benchmark's bounds-grid workload: every case kind, 238 cases.
+    "bounds": {
+        "etas": [0.25, 1.0],
+        "deltas": [0.01],
+        "gaps": [0.1],
+        "orders": [1, 2],
+        "mu_centers": [-0.25, 0.25],
+        "mc_rounds": 500,
+    },
+}
+
+RUNS = {
+    "plan-alpha0": ["--mode", "plan", "--alpha-list", "0"],
+    "plan-alpha0.5": ["--mode", "plan", "--alpha-list", "0.5"],
+    "plan-alpha1": ["--mode", "plan", "--alpha-list", "1"],
+    "spectrum": ["--mode", "spectrum"],
+    "gsee-threads1": ["--mode", "gsee", "--runs", "4", "--seed", "11", "--threads", "1"],
+    "gsee-threads2": ["--mode", "gsee", "--runs", "4", "--seed", "11", "--threads", "2"],
+    "sweep": ["--mode", "sweep", "--runs", "2", "--seed", "5"],
+    "qpe": ["--mode", "qpe", "--runs", "50", "--seed", "3"],
+    "bounds": ["--mode", "bounds"],
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main_digests() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(CONFIG, fh)
+        for name, argv in RUNS.items():
+            out = os.path.join(tmp, name)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = main(["--config", config, "--out", out, *argv])
+            if rc != 0:
+                print(f"{name} exited {rc}", file=sys.stderr)
+                return 1
+            print(f"{name}/stdout {_sha256(stdout.getvalue().encode())}")
+            for artifact in sorted(os.listdir(out)):
+                with open(os.path.join(out, artifact), "rb") as fh:
+                    print(f"{name}/{artifact} {_sha256(fh.read())}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main_digests())

@@ -22,7 +22,7 @@ from gaussqpe.bounds import (
 from gaussqpe import bounds, cli, estimation
 from gaussqpe.estimation import _MAX_ROUNDS
 from gaussqpe.cli import main
-from gaussqpe.planner import plan_sampling_round
+from gaussqpe.planner import PlanInputs, flatten_record, plan_gsee, plan_sampling_round
 
 BASE_CONFIG = {
     "inputs": {
@@ -71,6 +71,12 @@ def test_plan_mode_writes_tables(tmp_path, capsys):
     assert [float(r["alpha"]) for r in rows] == [0.0, 0.5, 1.0]
     qs = [int(r["round_plan.q"]) for r in rows]
     assert qs == sorted(qs)
+    # The header is sorted, and every alpha's plan flattens to exactly it.
+    header = list(rows[0])
+    assert header == sorted(header)
+    for alpha in (0.0, 0.5, 1.0):
+        plan = plan_gsee(PlanInputs(**{**BASE_CONFIG["inputs"], "alpha": alpha}))
+        assert list(flatten_record(plan.to_dict())) == header
     text = Path(out, "plan.txt").read_text()
     assert "q" in text and "M0" in text
     echo = read_json(os.path.join(out, "config-echo.json"))
@@ -85,7 +91,7 @@ def test_spectrum_mode_distribution_table(tmp_path):
     rows = read_csv(os.path.join(out, "spectrum.csv"))
     plans = read_csv(os.path.join(out, "plans.csv"))
     assert len(rows) == 1 << int(plans[0]["round_plan.q"])
-    assert set(rows[0]) == {"z", "P_mixed", "P_0", "P_1", "P_2"}
+    assert list(rows[0]) == ["z", "P_mixed", "P_0", "P_1", "P_2"]
     total = sum(float(r["P_mixed"]) for r in rows)
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -135,6 +141,7 @@ def test_qpe_mode_baseline(tmp_path):
     assert rc == 0
     rows = read_csv(os.path.join(out, "estimates.csv"))
     assert len(rows) == 20
+    assert list(rows[0]) == ["run_id", "q", "n_samples", "theta_hat", "err", "success"]
     assert {r["success"] for r in rows} <= {"True", "False"}
     summary = read_json(os.path.join(out, "summary.json"))
     assert summary["runs"] == 20
@@ -154,6 +161,19 @@ def test_bounds_mode_reduced_grid(tmp_path):
     rc, out = run(tmp_path, ["--mode", "bounds"], config=config)
     assert rc == 0
     rows = read_csv(os.path.join(out, "bounds.csv"))
+    # The columns are the BoundCase fields, in declaration order.
+    assert list(rows[0]) == [
+        "kind",
+        "exact",
+        "bound",
+        "margin",
+        "exact_log10",
+        "bound_log10",
+        "margin_log10",
+        "preconditions_met",
+        "holds",
+        "params",
+    ]
     assert all(r["holds"] == "True" for r in rows if r["preconditions_met"] == "True")
     params = [json.loads(row["params"]) for row in rows]
     assert {p["plan"] for p in params} == {"eta0.5_delta0.01_gap0.1_m1"}
@@ -219,6 +239,9 @@ def test_bounds_mode_reduced_grid(tmp_path):
         ("gsee", None, "threads", -4, "threads must be nonnegative"),
         # A key that is a flag goes on the command line instead.
         ("gsee", None, "--threads", "-4", "threads must be nonnegative"),
+        ("qpe", None, "--seed", "-1", "seed must be nonnegative, got -1"),
+        ("gsee", "spectrum", "eigenphases", ["-0.2", -0.05, 0.15],
+         "eigenphases entry must be a real number"),
     ],
 )
 def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, value, message):
@@ -229,9 +252,10 @@ def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, val
     else:
         node = config.setdefault(section, {}) if section else config
         node[key] = value
-    rc, _ = run(tmp_path, argv, config=config)
+    rc, out = run(tmp_path, argv, config=config)
     assert rc == 1
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_mc_rounds_below_one_is_named_error(tmp_path, capsys):
@@ -243,7 +267,7 @@ def test_mc_rounds_below_one_is_named_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bounds.mc_rounds must be at least 1" in err
     assert "Traceback" not in err
-    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+    assert not os.path.exists(out)
 
 
 def test_mc_rounds_above_round_budget_is_named_error(tmp_path, capsys, monkeypatch):
@@ -259,7 +283,7 @@ def test_mc_rounds_above_round_budget_is_named_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert f"bounds.mc_rounds must be at most {_MAX_ROUNDS}, got {too_many}" in err
     assert "Traceback" not in err
-    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+    assert not os.path.exists(out)
 
 
 def test_round_budget_too_large_exits_two(tmp_path, capsys, monkeypatch):
@@ -274,7 +298,7 @@ def test_round_budget_too_large_exits_two(tmp_path, capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert "round budget too large: 829997878 rounds need 33199915120 bytes" in err
-    assert not os.path.exists(os.path.join(out, "estimates.csv"))
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("axis", ["etas", "deltas", "gaps", "orders", "mu_centers"])
@@ -290,8 +314,22 @@ def test_empty_bound_grid_axis_is_named_error(tmp_path, capsys, monkeypatch, axi
     err = capsys.readouterr().err
     assert f"bound grid axis {axis} is empty" in err
     assert "Traceback" not in err
-    assert not os.path.exists(os.path.join(out, "bounds.csv"))
-    assert not os.path.exists(os.path.join(out, "summary.json"))
+    assert not os.path.exists(out)
+
+
+def test_shadow_without_first_order_is_named_error(tmp_path, capsys, monkeypatch):
+    # The shadow runs only m = 1 plans; refused before any grid work.
+    monkeypatch.setattr(bounds, "plan_sampling_round", None)
+    grid = {"etas": [0.5], "deltas": [0.01], "gaps": [0.1], "orders": [2], "mu_centers": [0.0]}
+    message = "the Monte Carlo shadow runs at m = 1, but orders (2,) has no 1"
+    with pytest.raises(ValueError, match=r"orders \(2,\) has no 1; add 1 to orders or set mc"):
+        run_default_grid(**grid)
+    rc, out = run(tmp_path, ["--mode", "bounds"], config={"bounds": grid})
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "set mc to false" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("center", [float("nan"), 3.0, 0.5, -0.75])
@@ -309,7 +347,7 @@ def test_mu_centers_outside_central_bin_are_named_error(tmp_path, capsys, center
     err = capsys.readouterr().err
     assert "mu_centers entries must be finite" in err
     assert "Traceback" not in err
-    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+    assert not os.path.exists(out)
 
 
 def test_oversized_distribution_exits_two(tmp_path, capsys):
@@ -319,7 +357,7 @@ def test_oversized_distribution_exits_two(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "distribution too large" in err and "2**30 bins" in err
-    assert not os.path.exists(os.path.join(out, "spectrum.csv"))
+    assert not os.path.exists(out)
 
 
 def test_truncated_window_exits_two(tmp_path, capsys, monkeypatch):
@@ -338,7 +376,7 @@ def test_truncated_window_exits_two(tmp_path, capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert "window truncated" in err and "above 1e-12" in err
-    assert not os.path.exists(os.path.join(out, "spectrum.csv"))
+    assert not os.path.exists(out)
 
 
 def test_gsee_thread_count_does_not_change_bytes(tmp_path):
@@ -460,10 +498,11 @@ def test_infeasible_budget_exits_two(tmp_path, capsys):
     config = json.loads(json.dumps(BASE_CONFIG))
     config["inputs"]["delta_fail"] = 0.9
     config["inputs"]["alpha"] = 1.0
-    rc, _ = run(tmp_path, ["--mode", "plan"], config=config)
+    rc, out = run(tmp_path, ["--mode", "plan"], config=config)
     assert rc == 2
     err = capsys.readouterr().err
     assert "infeasible" in err and "round_budget" in err
+    assert not os.path.exists(out)
 
 
 def test_spectrum_plan_mismatch_exits_two(tmp_path, capsys):
@@ -473,9 +512,10 @@ def test_spectrum_plan_mismatch_exits_two(tmp_path, capsys):
         "eigenphases": [-0.2, -0.15],
         "overlaps_sq": [0.6, 0.4],
     }
-    rc, _ = run(tmp_path, ["--mode", "gsee"], config=config)
+    rc, out = run(tmp_path, ["--mode", "gsee"], config=config)
     assert rc == 2
     assert "spectrum mismatch" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_dense_hamiltonian_config(tmp_path):
