@@ -55,6 +55,14 @@ _DEFAULT_SEED = 1
 _DEFAULT_ALPHAS = (0.0, 0.5, 1.0)
 # EnergyEstimate.diagnostics written as estimates.csv columns, in order.
 _DIAGNOSTICS = ("basket_fraction", "dark_fraction", "median_anchor")
+# Keys of each config section, checked where it nests (PlanInputs checks inputs).
+_CONFIG_KEYS = {
+    "config": ("inputs", "spectrum", "qpe", "bounds", "seed", "runs", "threads", "alpha_list"),
+    "qpe": ("epsilon", "delta"),
+    "bounds": ("mc", "mc_rounds", "etas", "deltas", "gaps", "orders", "mu_centers", "eps_rel"),
+    "spectrum": ("path", "eigenphases", "overlaps_sq", "dense_hamiltonian"),
+    "dense_hamiltonian": ("matrix_real", "matrix_imag", "initial_real", "initial_imag"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,13 +135,24 @@ def _qpe_targets(config: dict[str, Any]) -> tuple[float, float]:
     )
 
 
+def _check_keys(node: Any, section: str, where: str) -> None:
+    """Refuse a non-object ``section`` node, or a key that section does
+    not know: a typo must not fall back to a default."""
+    if not isinstance(node, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key, value in node.items():
+        if key not in _CONFIG_KEYS[section]:
+            raise ValueError(f"unknown key {key!r} in {where}; known: {_CONFIG_KEYS[section]}")
+        if key in _CONFIG_KEYS:
+            _check_keys(value, key, key if section == "config" else f"{where}.{key}")
+
+
 def _load_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
     with open(path) as fh:
         config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("config root must be a JSON object")
+    _check_keys(config, "config", "config root")
     return config
 
 
@@ -144,11 +163,12 @@ def _spectrum_from_config(config: dict[str, Any]) -> SpectrumSpec:
     if "path" in node:
         with open(node["path"]) as fh:
             node = json.load(fh)
+        _check_keys(node, "spectrum", "spectrum file")
     if "dense_hamiltonian" in node:
         dense = node["dense_hamiltonian"]
         arrays = {
             key: _number_array(dense[key], f"spectrum.dense_hamiltonian.{key}")
-            for key in ("matrix_real", "matrix_imag", "initial_real", "initial_imag")
+            for key in _CONFIG_KEYS["dense_hamiltonian"]
             if key in dense
         }
         real = arrays["matrix_real"]

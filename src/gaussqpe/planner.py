@@ -18,18 +18,20 @@ Three layers are planned here:
 
 All failure probabilities are tracked in log space: the round budget
 shrinks geometrically until a ratio predicate holds, and its fixed point
-sits near exp(-700), at the edge of (or beyond) float64 range.
+sits near exp(-700), at the edge of (or beyond) float64 range. Nothing
+else shrinks: the working gap is the input gap.
 
 The window-quality predicates (aliasing mass, tail mass, contamination
 norm) are evaluated on the mpmath lattice series of ``gaussian``, the
 same series the bound laboratory certifies with, at a fixed 53-bit
-precision.
+precision, once per plan at the sized window (a failing one is refused).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -62,11 +64,8 @@ DEFAULT_INTERP_COEFF = 1.0 - 2.0 * math.sqrt(2.0) / 3.0
 # 2 / (sqrt(2) - 1)**2.
 QPE_VOTE_COEFF = 2.0 / (math.sqrt(2.0) - 1.0) ** 2
 
-_GAP_SHRINK_FACTOR = 0.9
-_GAP_SHRINK_CAP = 200
 # The round-budget fixed point needs ~1000 halvings; see module docstring.
 _BUDGET_HALVING_CAP = 5000
-_REVALIDATION_CAP = 5
 
 _PREDICATE_CEILING = 0.125  # each window-quality predicate must sit below 1/8
 # The window series run at float64's 53 bits whatever the caller's mpmath
@@ -117,14 +116,19 @@ def _check_order(m: int) -> None:
 def hoeffding_sample_count(b: float, epsilon: float, c: float, delta: float) -> int:
     """Samples needed so a mean of values with support width ``b`` lands
     within (1 - c) * epsilon of its expectation except with probability
-    ``delta``: ceil(b**2 / (2 * ((1-c) * epsilon)**2) * ln(2/delta))."""
+    ``delta``: ceil(b**2 / (2 * ((1-c) * epsilon)**2) * ln(2/delta)).
+    Raises ``PlanInfeasible`` (``round_count``) past float64 range."""
     if not (b > 0.0 and epsilon > 0.0 and 0.0 <= c < 1.0 and 0.0 < delta < 1.0):
         raise ValueError(
             f"need b > 0, epsilon > 0, c in [0, 1), delta in (0, 1); "
             f"got b={b!r}, epsilon={epsilon!r}, c={c!r}, delta={delta!r}"
         )
     accuracy = (1.0 - c) * epsilon
-    return math.ceil(b**2 / (2.0 * accuracy**2) * math.log(2.0 / delta))
+    try:
+        return math.ceil(b**2 / (2.0 * accuracy**2) * math.log(2.0 / delta))
+    except (ZeroDivisionError, OverflowError):
+        message = f"round count overflows at accuracy {accuracy:.3g}, delta {delta:.3g}"
+        raise PlanInfeasible(message, "round_count") from None
 
 
 @dataclass(frozen=True)
@@ -188,8 +192,10 @@ class PlanParams:
     ``delta_work`` is exp(-log_inv_delta_work) and may underflow to 0.0;
     the log field is authoritative. ``M0_nominal`` applies the sample
     count formula at the input budget before any shrinking, which is what
-    closed-form cost statements quote. ``constraint_flags`` records every
-    feasibility predicate re-evaluated at the final parameters.
+    closed-form cost statements quote. ``Delta_work`` always equals
+    ``Delta_input``: only the budget shrinks, and ``audit`` holds at most
+    its halving count. ``constraint_flags`` records every feasibility
+    predicate evaluated at the final parameters.
     """
 
     m: int
@@ -275,6 +281,12 @@ class QpeBaseline:
         return _field_values(self)
 
 
+def _check_register(q: int) -> None:
+    """The window and its predicates need 2**q as a float64."""
+    if q >= sys.float_info.max_exp:
+        raise PlanInfeasible(f"register width q={q} past float64 range", "register_width")
+
+
 def _window_width(q: int, Delta: float) -> int:
     """Largest odd window width at most floor((2/3) * 2**q * Delta)."""
     f = math.floor((2.0 / 3.0) * float(1 << q) * Delta)
@@ -298,20 +310,8 @@ def _predicate_values(
         return float(A), float(T), float(mpmath.sqrt(R2))
 
 
-def _window_predicates(
-    A: float, T: float, R: float, u: float, eta: float
-) -> dict[str, bool]:
-    """Window-quality predicates, in the order a failing one is reported."""
-    return {
-        "aliasing_eighth": A <= _PREDICATE_CEILING,
-        "tail_eighth": T <= _PREDICATE_CEILING,
-        "contamination_eighth": R / math.sqrt(eta) <= _PREDICATE_CEILING,
-        "u_floor": u > 1.0,
-    }
-
-
 def plan_sampling_round(
-    delta: float, eta: float, Delta_max: float, m: int, eps_rel: float
+    delta: float, eta: float, Delta: float, m: int, eps_rel: float
 ) -> PlanParams:
     """Size one sampling round.
 
@@ -321,24 +321,25 @@ def plan_sampling_round(
         Per-round failure budget, in (0, 0.01].
     eta : float
         Ground-overlap floor, in (0, 1].
-    Delta_max : float
-        Largest admissible working gap, in turns.
+    Delta : float
+        Working gap, in turns; the plan keeps it.
     m : int
         Controlled moment order, 1 to 4.
     eps_rel : float
         Relative moment accuracy target (turns**m units).
 
-    The working gap shrinks geometrically while any window-quality
-    predicate fails, then the budget shrinks (in log space) until the
-    headroom ratio predicate holds, re-validating the window predicates
-    afterwards. Raises ``PlanInfeasible`` naming the first predicate that
-    cannot be satisfied within the iteration caps.
+    One pass: the budget halves (in log space) until the headroom ratio
+    predicate holds, and the window predicates are checked once, at the
+    sized window. Raises ``PlanInfeasible`` naming the predicate that
+    fails: ``delta_ratio`` past the halving cap, ``register_width`` when
+    2**q would pass float64 range, or ``window_width`` or a window-quality
+    predicate at the sized window (no valid input fails those last two).
     """
     if not (0.0 < delta <= 0.01):
         raise ValueError(f"round budget delta must lie in (0, 0.01], got {delta!r}")
     _check_eta(eta)
-    if not (0.0 < Delta_max < 1.0):
-        raise ValueError(f"Delta_max must lie in (0, 1), got {Delta_max!r}")
+    if not (0.0 < Delta < 1.0):
+        raise ValueError(f"Delta must lie in (0, 1), got {Delta!r}")
     _check_order(m)
     if not (0.0 < eps_rel < 1.0):
         raise ValueError(f"eps_rel must lie in (0, 1), got {eps_rel!r}")
@@ -356,7 +357,7 @@ def plan_sampling_round(
     def m0_of(log_inv_delta: float) -> int:
         return math.ceil((16.0 / (3.0 * eta)) * (math.log(3.0) + log_inv_delta))
 
-    def derived(Delta: float, log_inv_delta: float):
+    def derived(log_inv_delta: float):
         M0 = m0_of(log_inv_delta)
         L = math.log(4.0 * M0) + log_inv_delta + eta_log
         sigma_tilde = (Delta / 6.0) / math.sqrt(2.0 * L) / math.sqrt(m)
@@ -368,78 +369,55 @@ def plan_sampling_round(
             + moment_log
         )
         pre_q = (3.0 * m / (math.pi * Delta)) * math.sqrt(1.0 + 3.0 * u) * math.sqrt(2.0 * L)
+        if pre_q == math.inf:
+            raise PlanInfeasible("register span overflows float64", "register_width")
         q = max(1, math.ceil(math.log2(pre_q)))
         return M0, L, sigma_tilde, u, q
 
-    def window_checks(Delta: float, sigma_tilde: float, u: float, q: int):
-        width = _window_width(q, Delta)
-        if width < 3:
-            return "window_width", None
-        K = (width - 1) // 2
-        A, T, R = _predicate_values(sigma_tilde * float(1 << q), q, K, Delta)
-        passed = _window_predicates(A, T, R, u, eta)
-        failing = next((name for name, ok in passed.items() if not ok), None)
-        return failing, (width, K, passed)
-
-    Delta = Delta_max
+    # Shrink the round budget until L >= 4 * (1 + 3u). A register already
+    # past float64 range is refused first: halving only widens it.
     log_inv_delta = log_inv_delta0
-    audit: list[str] = []
-    state = None
-
-    for _ in range(_REVALIDATION_CAP):
-        # Stage 1: shrink the working gap until the window predicates hold.
-        failing = None
-        for _ in range(_GAP_SHRINK_CAP + 1):
-            M0, L, sigma_tilde, u, q = derived(Delta, log_inv_delta)
-            failing, extras = window_checks(Delta, sigma_tilde, u, q)
-            if failing is None:
-                break
-            audit.append(f"shrink Delta {Delta:.6g} -> {Delta * _GAP_SHRINK_FACTOR:.6g} ({failing})")
-            Delta *= _GAP_SHRINK_FACTOR
-        if failing is not None:
+    M0, L, sigma_tilde, u, q = derived(log_inv_delta)
+    _check_register(q)
+    halvings = 0
+    while L < 4.0 * (1.0 + 3.0 * u):
+        if halvings >= _BUDGET_HALVING_CAP:
             raise PlanInfeasible(
-                f"predicate {failing} still failing after {_GAP_SHRINK_CAP} gap shrinks",
-                failing,
+                f"ratio predicate unmet after {_BUDGET_HALVING_CAP} budget halvings",
+                "delta_ratio",
             )
+        log_inv_delta += math.log(2.0)
+        halvings += 1
+        M0, L, sigma_tilde, u, q = derived(log_inv_delta)
+    audit = (f"halved round budget {halvings} times (ratio predicate)",) if halvings else ()
+    _check_register(q)
 
-        # Stage 2: shrink the round budget until L >= 4 * (1 + 3u).
-        halvings = 0
-        while L < 4.0 * (1.0 + 3.0 * u):
-            if halvings >= _BUDGET_HALVING_CAP:
-                raise PlanInfeasible(
-                    f"ratio predicate unmet after {_BUDGET_HALVING_CAP} budget halvings",
-                    "delta_ratio",
-                )
-            log_inv_delta += math.log(2.0)
-            halvings += 1
-            M0, L, sigma_tilde, u, q = derived(Delta, log_inv_delta)
-        if halvings:
-            audit.append(f"halved round budget {halvings} times (ratio predicate)")
-
-        # Stage 3: the budget shrink moved sigma_tilde and q; re-validate.
-        failing, extras = window_checks(Delta, sigma_tilde, u, q)
-        if failing is None:
-            state = (M0, L, sigma_tilde, u, q, extras)
-            break
-        audit.append(f"revalidation failed ({failing}); restarting gap shrink")
-        Delta *= _GAP_SHRINK_FACTOR
-    if state is None:
-        raise PlanInfeasible(
-            f"no fixed point after {_REVALIDATION_CAP} revalidation passes",
-            failing or "revalidation",
-        )
-
-    M0, L, sigma_tilde, u, q, (width, K, window_flags) = state
+    # The window predicates, once, at the sized window.
+    width = _window_width(q, Delta)
+    if width < 3:
+        raise PlanInfeasible(f"window width {width} below 3 bins at q={q}", "window_width")
+    K = (width - 1) // 2
     n_bins = float(1 << q)
     sigma_bins = sigma_tilde * n_bins
-    ratio_ok = L >= 4.0 * (1.0 + 3.0 * u)
+    A, T, R = _predicate_values(sigma_bins, q, K, Delta)
+    # In the order a failing one is reported.
+    window_flags = {
+        "aliasing_eighth": A <= _PREDICATE_CEILING,
+        "tail_eighth": T <= _PREDICATE_CEILING,
+        "contamination_eighth": R / math.sqrt(eta) <= _PREDICATE_CEILING,
+        "u_floor": u > 1.0,
+    }
+    failing = next((name for name, ok in window_flags.items() if not ok), None)
+    if failing is not None:
+        raise PlanInfeasible(f"predicate {failing} fails at q={q}, K={K}", failing)
+
     q_lower = (math.sqrt(m) / (2.0 * math.pi * sigma_tilde)) * math.sqrt(1.0 + 3.0 * u)
     query_bound = (6.0 * math.sqrt(2.0) * m / (math.pi * Delta)) * math.sqrt(
         (1.0 + 3.0 * u) * L
     )
     flags = {
         **window_flags,
-        "delta_ratio": ratio_ok,
+        "delta_ratio": L >= 4.0 * (1.0 + 3.0 * u),
         "q_floor_delta_sixth": 1.0 / n_bins <= Delta / 6.0,
         "tail_regime": K >= 1 and sigma_bins <= K - 0.5,
         "contamination_regime": Delta * n_bins > K + 0.5,
@@ -454,7 +432,7 @@ def plan_sampling_round(
         m=m,
         eta=eta,
         eps_rel_target=eps_rel,
-        Delta_input=Delta_max,
+        Delta_input=Delta,
         Delta_work=Delta,
         delta_input=delta,
         log_inv_delta_work=log_inv_delta,
@@ -472,7 +450,7 @@ def plan_sampling_round(
         q_lower_bound=q_lower,
         register_query_bound=query_bound,
         constraint_flags=flags,
-        audit=tuple(audit),
+        audit=audit,
     )
 
 

@@ -6,7 +6,8 @@ Run from the repository root:
 
 Each mode runs through ``gaussqpe.cli.main`` on the acceptance config
 (plan at alpha 0, 0.5 and 1; spectrum; gsee at one and two threads;
-sweep; the qpe baseline at 50 runs; bounds on the benchmark's sub-grid).
+sweep; the qpe baseline at 50 runs; bounds on the benchmark's sub-grid),
+and plan runs at alphas 0, 0.5 and 1 with ``inputs.m`` 2 and 4.
 Every line reads ``<run>/<file> <sha256>``, so two checkouts make the
 same bytes when ``diff`` of their outputs is empty. Not a pytest module.
 """
@@ -44,6 +45,13 @@ CONFIG = {
     },
 }
 
+# Runs named here take CONFIG with these ``inputs`` keys replaced: the
+# planner sizes each moment order differently.
+INPUT_OVERRIDES = {
+    "plan-m2": {"m": 2},
+    "plan-m4": {"m": 4},
+}
+
 RUNS = {
     "plan-alpha0": ["--mode", "plan", "--alpha-list", "0"],
     "plan-alpha0.5": ["--mode", "plan", "--alpha-list", "0.5"],
@@ -54,6 +62,8 @@ RUNS = {
     "sweep": ["--mode", "sweep", "--runs", "2", "--seed", "5"],
     "qpe": ["--mode", "qpe", "--runs", "50", "--seed", "3"],
     "bounds": ["--mode", "bounds"],
+    "plan-m2": ["--mode", "plan", "--alpha-list", "0,0.5,1"],
+    "plan-m4": ["--mode", "plan", "--alpha-list", "0,0.5,1"],
 }
 
 
@@ -63,10 +73,11 @@ def _sha256(data: bytes) -> str:
 
 def main_digests() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w") as fh:
-            json.dump(CONFIG, fh)
         for name, argv in RUNS.items():
+            config = os.path.join(tmp, f"{name}.json")
+            with open(config, "w") as fh:
+                inputs = {**CONFIG["inputs"], **INPUT_OVERRIDES.get(name, {})}
+                json.dump({**CONFIG, "inputs": inputs}, fh)
             out = os.path.join(tmp, name)
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,8 @@ from gaussqpe import bounds, cli, estimation
 from gaussqpe.estimation import _MAX_ROUNDS
 from gaussqpe.cli import main
 from gaussqpe.planner import PlanInputs, flatten_record, plan_gsee, plan_sampling_round
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 BASE_CONFIG = {
     "inputs": {
@@ -255,6 +259,78 @@ def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, val
     rc, out = run(tmp_path, argv, config=config)
     assert rc == 1
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "mode, section, key, where",
+    [
+        ("plan", None, "rnus", "config root"),
+        ("bounds", "bounds", "mc_round", "bounds"),
+        ("qpe", "qpe", "epsilion", "qpe"),
+        ("spectrum", "spectrum", "overlap_sq", "spectrum"),
+        # A section the mode does not read is checked too.
+        ("plan", "spectrum", "eigenphase", "spectrum"),
+        ("spectrum", "dense_hamiltonian", "matrix_reel", "spectrum.dense_hamiltonian"),
+    ],
+)
+def test_unknown_config_keys_are_named_errors(tmp_path, capsys, mode, section, key, where):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["bounds"] = {"etas": [0.5], "deltas": [0.01], "gaps": [0.1], "mc": False}
+    if section == "dense_hamiltonian":
+        dense = {"matrix_real": [[-0.2, 0.0], [0.0, 0.1]], "initial_real": [1.0, 0.0]}
+        config["spectrum"] = {"dense_hamiltonian": dense}
+        node = config["spectrum"]["dense_hamiltonian"]
+    else:
+        node = config[section] if section else config
+    node[key] = 7
+    rc, out = run(tmp_path, ["--mode", mode], config=config)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"unknown key '{key}' in {where}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_unknown_key_in_spectrum_file_is_named_error(tmp_path, capsys):
+    spectrum = write_config(tmp_path, {**BASE_CONFIG["spectrum"], "phases": [0.1]}, "spec.json")
+    config = {**BASE_CONFIG, "spectrum": {"path": spectrum}}
+    rc, out = run(tmp_path, ["--mode", "spectrum"], config=config)
+    assert rc == 1
+    assert "unknown key 'phases' in spectrum file" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_config_sections_must_be_objects(tmp_path, capsys):
+    rc, out = run(tmp_path, ["--mode", "bounds"], config={"bounds": [0.5]})
+    assert rc == 1
+    assert "bounds must be a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_benchmark_workload_configs_are_accepted(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for index in range(workload.cycle):
+            config = workloads.make_campaign(workload, 1, index).config
+            assert cli._load_config(write_config(tmp_path, config)) == config
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 1e-160])
+def test_tiny_epsilon_is_named_refusal(tmp_path, capsys, epsilon):
+    # The Hoeffding count divides by an underflowed accuracy**2 (1e-300)
+    # or comes out inf (1e-160); either way no finite round count exists.
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["inputs"]["epsilon"] = epsilon
+    rc, out = run(tmp_path, ["--mode", "plan"], config=config)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[round_count]" in err
+    assert "Traceback" not in err
     assert not os.path.exists(out)
 
 

@@ -6,12 +6,14 @@ evaluates the printed formulas directly in mpmath.
 
 import json
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaussqpe import planner
 from gaussqpe.gaussian import g0
 from gaussqpe.planner import (
     DEFAULT_INTERP_COEFF,
@@ -19,6 +21,7 @@ from gaussqpe.planner import (
     PlanInfeasible,
     PlanInputs,
     compute_C_eta,
+    hoeffding_sample_count,
     plan_gsee,
     plan_qpe_baseline,
     plan_sampling_round,
@@ -134,6 +137,108 @@ def test_infeasible_round_budget():
     with pytest.raises(PlanInfeasible) as err:
         plan_gsee(inputs)
     assert err.value.predicate == "round_budget"
+
+
+@pytest.mark.parametrize(
+    "make, predicate",
+    [
+        # accuracy**2 underflows to 0: the count divides by zero.
+        (lambda: hoeffding_sample_count(1.0, 1e-300, 0.0, 0.05), "round_count"),
+        (lambda: plan_gsee(PlanInputs(0.1, 0.5, 0.15, 1e-300)), "round_count"),
+        # accuracy**2 is subnormal: the count is inf.
+        (lambda: plan_gsee(PlanInputs(0.1, 0.5, 0.15, 1e-160)), "round_count"),
+        # 2**q passes float64 range once the budget is halved.
+        (lambda: plan_sampling_round(0.01, 0.5, 1e-305, 1, 0.01), "register_width"),
+        # The register span itself overflows to inf.
+        (lambda: plan_sampling_round(0.01, 0.5, 1e-310, 1, 0.01), "register_width"),
+        # u grows with the budget as fast as L does: the cap is reached.
+        (lambda: plan_sampling_round(0.01, 0.5, 0.1, 1, 1e-300), "delta_ratio"),
+        (lambda: plan_gsee(PlanInputs(0.1, 0.5, 0.15, 1e-160, alpha=1.0)), "delta_ratio"),
+    ],
+    ids=["hoeffding_underflow", "gsee_underflow", "gsee_overflow", "register_past_float64",
+         "register_inf", "ratio_cap", "gsee_ratio_cap"],
+)
+def test_extreme_inputs_are_named_refusals(make, predicate):
+    with pytest.raises(PlanInfeasible) as err:
+        make()
+    assert err.value.predicate == predicate
+
+
+def test_window_predicates_run_once_per_plan(monkeypatch):
+    calls = []
+    real = planner._predicate_values
+    monkeypatch.setattr(
+        planner, "_predicate_values", lambda *args: calls.append(args) or real(*args)
+    )
+    plan = plan_sampling_round(0.01, 0.5, 0.15, 1, 0.005)
+    assert calls == [(plan.sigma_bins, plan.q, plan.K, plan.Delta_input)]
+    assert plan.Delta_work == plan.Delta_input
+    assert len(plan.audit) == 1
+    assert plan.audit[0].startswith("halved round budget")
+
+
+@pytest.mark.parametrize(
+    "values, predicate",
+    [
+        ((0.2, 0.0, 0.0), "aliasing_eighth"),
+        ((0.0, 0.2, 0.0), "tail_eighth"),
+        # R / sqrt(eta) with eta = 0.5: 0.1 passes alone, not after the scaling.
+        ((0.0, 0.0, 0.1), "contamination_eighth"),
+        # The first failing predicate is the one named.
+        ((0.2, 0.2, 1.0), "aliasing_eighth"),
+    ],
+)
+def test_failing_window_predicate_is_refused(monkeypatch, values, predicate):
+    monkeypatch.setattr(planner, "_predicate_values", lambda *args: values)
+    with pytest.raises(PlanInfeasible) as err:
+        plan_sampling_round(0.01, 0.5, 0.15, 1, 0.005)
+    assert err.value.predicate == predicate
+
+
+def test_narrow_window_is_refused(monkeypatch):
+    monkeypatch.setattr(planner, "_window_width", lambda q, Delta: 1)
+    with pytest.raises(PlanInfeasible) as err:
+        plan_sampling_round(0.01, 0.5, 0.15, 1, 0.005)
+    assert err.value.predicate == "window_width"
+
+
+def test_domain_corners_plan_or_refuse_the_ratio():
+    # The window predicates are checked once, at the sized window; this
+    # pins that no input in the domain fails one there. Every corner of
+    # (delta, eta, Delta, m, eps_rel), plus seeded points between them.
+    deltas, etas = (0.01, 1e-300), (1.0, 1e-300)
+    gaps, rels = (1e-3, 0.999999), (1e-50, 0.999999)
+    points = [
+        (d, e, g, m, r) for d in deltas for e in etas for g in gaps for m in (1, 4) for r in rels
+    ]
+    rng = random.Random(20261019)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    points += [
+        (
+            log_uniform(1e-300, 0.01),
+            log_uniform(1e-300, 1.0),
+            log_uniform(1e-3, 0.999999),
+            rng.randint(1, 4),
+            log_uniform(1e-50, 0.999999),
+        )
+        for _ in range(120)
+    ]
+    outcomes = set()
+    for point in points:
+        try:
+            plan = plan_sampling_round(*point)
+        except PlanInfeasible as exc:
+            assert exc.predicate == "delta_ratio", point
+            outcomes.add("delta_ratio")
+            continue
+        assert all(plan.constraint_flags.values()), point
+        assert plan.Delta_work == plan.Delta_input
+        assert len(plan.audit) <= 1
+        outcomes.add("feasible")
+    assert outcomes == {"feasible", "delta_ratio"}
 
 
 @given(
