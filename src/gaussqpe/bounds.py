@@ -193,7 +193,7 @@ class _TwoStateModel:
     """High-precision quantities of the coherent two-Gaussian model.
 
     The ground Gaussian (weight eta) sits at ``mu`` in [-1/2, 1/2); the
-    contaminant (weight 1 - eta) sits at ``mu + N * Delta_work``. Sign
+    contaminant (weight 1 - eta) sits at ``mu + N * Delta_input``. Sign
     ``s`` selects the relative phase of the contaminant amplitude.
     """
 
@@ -204,7 +204,7 @@ class _TwoStateModel:
         self.N = plan.n_bins
         self.sigma = mpmath.mpf(plan.sigma_bins)
         self.mu = mpmath.mpf(mu_center)
-        self.ND = mpmath.mpf(plan.Delta_work) * self.N
+        self.ND = mpmath.mpf(plan.Delta_input) * self.N
         self.mu1 = self.mu + self.ND
         self.eta = mpmath.mpf(plan.eta)
 
@@ -386,7 +386,6 @@ def _base_params(plan: PlanParams, mu_center: float | None) -> dict[str, Any]:
         "plan": _plan_id(plan),
         "eta": plan.eta,
         "delta_round": plan.delta_input,
-        "Delta_work": plan.Delta_work,
         "m_plan": plan.m,
         "q": plan.q,
         "K": plan.K,
@@ -776,8 +775,11 @@ def evaluate_plan_cases(
     mu_centers: Sequence[float] = DEFAULT_MU_CENTERS,
 ) -> list[BoundCase]:
     """All bound cases for one plan across a panel of wrapped centers,
-    each in [-1/2, 1/2)."""
+    each in [-1/2, 1/2), for a plan whose gap is at most 1/2."""
     _check_mu_centers(mu_centers)
+    # Past half a turn the contaminant leaves the register the model normalizes over.
+    if not plan.Delta_input <= 0.5:
+        raise ValueError(f"bound grid gaps must be at most 1/2, got {plan.Delta_input!r}")
     cases: list[BoundCase] = []
     with mpmath.workdps(_DPS):
         cases.extend(_q_requirement_case(plan))
@@ -807,7 +809,7 @@ def _mc_case(plan: PlanParams, mu_center: float, rounds: int, seed: int) -> Boun
     """
     theta0 = mu_center / plan.n_bins
     spec = simulator.SpectrumSpec(
-        eigenphases=(theta0, theta0 + plan.Delta_work),
+        eigenphases=(theta0, theta0 + plan.Delta_input),
         overlaps_sq=(plan.eta, 1.0 - plan.eta),
     )
     dist = simulator.mixed_distribution(spec, plan)
@@ -856,7 +858,7 @@ def run_default_grid(
     where a failure would be cheapest to see, so with ``mc`` true
     ``orders`` must hold 1. Every axis must be nonempty, ``mc_rounds``
     must lie in [1, ``estimation._MAX_ROUNDS``] (the rounds ``run_gsee``
-    holds in 2 GiB) and every center in [-1/2, 1/2).
+    holds in 2 GiB), every center in [-1/2, 1/2) and every gap at most 1/2.
     """
     for name, axis in (
         ("etas", etas),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -55,8 +56,9 @@ _DEFAULT_SEED = 1
 _DEFAULT_ALPHAS = (0.0, 0.5, 1.0)
 # EnergyEstimate.diagnostics written as estimates.csv columns, in order.
 _DIAGNOSTICS = ("basket_fraction", "dark_fraction", "median_anchor")
-# Keys of each config section, checked where it nests (PlanInputs checks inputs).
+# Keys of each config section, checked where it nests, in every mode.
 _CONFIG_KEYS = {
+    "inputs": tuple(f.name for f in dataclasses.fields(PlanInputs)),
     "config": ("inputs", "spectrum", "qpe", "bounds", "seed", "runs", "threads", "alpha_list"),
     "qpe": ("epsilon", "delta"),
     "bounds": ("mc", "mc_rounds", "etas", "deltas", "gaps", "orders", "mu_centers", "eps_rel"),

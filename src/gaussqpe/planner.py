@@ -17,9 +17,10 @@ Three layers are planned here:
   comparisons.
 
 All failure probabilities are tracked in log space: the round budget
-shrinks geometrically until a ratio predicate holds, and its fixed point
-sits near exp(-700), at the edge of (or beyond) float64 range. Nothing
-else shrinks: the working gap is the input gap.
+halves until a ratio predicate holds, and its fixed point sits near
+exp(-700), at the edge of (or beyond) float64 range, so a plan records
+it only as ln(1/delta) and the number of halvings. Nothing else shrinks:
+the working gap is the input gap.
 
 The window-quality predicates (aliasing mass, tail mass, contamination
 norm) are evaluated on the mpmath lattice series of ``gaussian``, the
@@ -189,23 +190,23 @@ class PlanInputs:
 class PlanParams:
     """Resolved parameters of one sampling round.
 
-    ``delta_work`` is exp(-log_inv_delta_work) and may underflow to 0.0;
-    the log field is authoritative. ``M0_nominal`` applies the sample
-    count formula at the input budget before any shrinking, which is what
-    closed-form cost statements quote. ``Delta_work`` always equals
-    ``Delta_input``: only the budget shrinks, and ``audit`` holds at most
-    its halving count. ``constraint_flags`` records every feasibility
-    predicate evaluated at the final parameters.
+    The working round budget is held only as ``log_inv_delta_work``,
+    ln(1/delta): it sits near exp(-700) and may lie past float64 range.
+    It is the input budget ``delta_input`` halved ``halvings`` times, by
+    the ratio predicate L >= 4(1+3u), the only thing the planner shrinks;
+    the round runs at the input gap ``Delta_input``. ``M0_nominal``
+    applies the sample count formula at the input budget, which is what
+    closed-form cost statements quote. ``constraint_flags`` records every
+    feasibility predicate evaluated at the final parameters.
     """
 
     m: int
     eta: float
     eps_rel_target: float
     Delta_input: float
-    Delta_work: float
     delta_input: float
     log_inv_delta_work: float
-    delta_work: float
+    halvings: int
     M0: int
     M0_nominal: int
     sigma_tilde: float
@@ -219,7 +220,6 @@ class PlanParams:
     q_lower_bound: float
     register_query_bound: float
     constraint_flags: dict[str, bool] = field(compare=False)
-    audit: tuple[str, ...] = field(compare=False, default=())
 
     @property
     def n_bins(self) -> int:
@@ -234,9 +234,8 @@ class PlanParams:
         return self.two_K_plus_1 - 1
 
     def to_dict(self) -> dict[str, Any]:
-        # audit is left out of the record until plan.txt and plans.csv report it.
         return {
-            **_field_values(self, "audit"),
+            **_field_values(self),
             "constraint_flags": dict(self.constraint_flags),
             "sigma_bins": self.sigma_bins,
             "n_bins": self.n_bins,
@@ -332,8 +331,10 @@ def plan_sampling_round(
     predicate holds, and the window predicates are checked once, at the
     sized window. Raises ``PlanInfeasible`` naming the predicate that
     fails: ``delta_ratio`` past the halving cap, ``register_width`` when
-    2**q would pass float64 range, or ``window_width`` or a window-quality
-    predicate at the sized window (no valid input fails those last two).
+    2**q would pass float64 range or sigma_tilde underflows to 0,
+    ``round_count`` when M0 would (a subnormal eta), or ``window_width``
+    or a window-quality predicate at the sized window (no valid input
+    fails those last two).
     """
     if not (0.0 < delta <= 0.01):
         raise ValueError(f"round budget delta must lie in (0, 0.01], got {delta!r}")
@@ -355,12 +356,17 @@ def plan_sampling_round(
     log_inv_delta0 = -math.log(delta)
 
     def m0_of(log_inv_delta: float) -> int:
-        return math.ceil((16.0 / (3.0 * eta)) * (math.log(3.0) + log_inv_delta))
+        count = (16.0 / (3.0 * eta)) * (math.log(3.0) + log_inv_delta)
+        if count == math.inf:
+            raise PlanInfeasible(f"per-round sample count overflows at eta {eta:.3g}", "round_count")
+        return math.ceil(count)
 
     def derived(log_inv_delta: float):
         M0 = m0_of(log_inv_delta)
         L = math.log(4.0 * M0) + log_inv_delta + eta_log
         sigma_tilde = (Delta / 6.0) / math.sqrt(2.0 * L) / math.sqrt(m)
+        if not sigma_tilde > 0.0:
+            raise PlanInfeasible("window width sigma_tilde underflows float64", "register_width")
         u = (
             math.log(m)
             - math.log(4.0 * math.pi**2)
@@ -389,7 +395,6 @@ def plan_sampling_round(
         log_inv_delta += math.log(2.0)
         halvings += 1
         M0, L, sigma_tilde, u, q = derived(log_inv_delta)
-    audit = (f"halved round budget {halvings} times (ratio predicate)",) if halvings else ()
     _check_register(q)
 
     # The window predicates, once, at the sized window.
@@ -427,16 +432,14 @@ def plan_sampling_round(
         <= 2.0 ** (-0.25) * math.sqrt((K - 0.5) / (2.0 * math.pi)),
         "q_meets_lower_bound": n_bins >= q_lower,
     }
-    log_delta = -log_inv_delta
     return PlanParams(
         m=m,
         eta=eta,
         eps_rel_target=eps_rel,
         Delta_input=Delta,
-        Delta_work=Delta,
         delta_input=delta,
         log_inv_delta_work=log_inv_delta,
-        delta_work=math.exp(log_delta) if log_delta > -745.0 else 0.0,
+        halvings=halvings,
         M0=M0,
         M0_nominal=m0_of(log_inv_delta0),
         sigma_tilde=sigma_tilde,
@@ -450,7 +453,6 @@ def plan_sampling_round(
         q_lower_bound=q_lower,
         register_query_bound=query_bound,
         constraint_flags=flags,
-        audit=audit,
     )
 
 
@@ -460,13 +462,16 @@ def plan_gsee(inputs: PlanInputs) -> GseePlan:
     The number of rounds M follows the Hoeffding count for a mean of
     bounded per-round estimates (support width 4*Delta/3, accuracy share
     (1 - c) * epsilon, budget delta/2), and each round runs at budget
-    delta/(4M) with relative moment target c * epsilon.
+    delta/(4M) with relative moment target c * epsilon. A budget delta/(4M)
+    above 0.01, or underflowed to 0, is refused as ``round_budget``.
     """
     Delta = inputs.Delta_true ** (1.0 - inputs.alpha) * inputs.epsilon**inputs.alpha
     delta = inputs.delta_fail
     support_bound = 4.0 * Delta / 3.0
     M = hoeffding_sample_count(support_bound, inputs.epsilon, inputs.c, delta / 2.0)
     delta_tilde_1 = delta / (4.0 * M)
+    if not delta_tilde_1 > 0.0:
+        raise PlanInfeasible(f"per-round budget underflows float64 at M={M:.4g}", "round_budget")
     if delta_tilde_1 > 0.01:
         raise PlanInfeasible(
             f"per-round budget {delta_tilde_1:.4g} exceeds 0.01; lower delta_fail",

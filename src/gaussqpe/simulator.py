@@ -170,7 +170,7 @@ class SpectrumSpec:
     def validate_for_plan(self, round_plan: PlanParams) -> None:
         """Raise ``SpectrumPlanMismatch`` unless this spectrum satisfies
         the gap, range, and overlap assumptions of ``round_plan``."""
-        Delta = round_plan.Delta_work
+        Delta = round_plan.Delta_input
         eta = round_plan.eta
         if self.ground_overlap_sq < eta - _SUM_TOL:
             raise SpectrumPlanMismatch(

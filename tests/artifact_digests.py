@@ -7,7 +7,9 @@ Run from the repository root:
 Each mode runs through ``gaussqpe.cli.main`` on the acceptance config
 (plan at alpha 0, 0.5 and 1; spectrum; gsee at one and two threads;
 sweep; the qpe baseline at 50 runs; bounds on the benchmark's sub-grid),
-and plan runs at alphas 0, 0.5 and 1 with ``inputs.m`` 2 and 4.
+plan runs at alphas 0, 0.5 and 1 with ``inputs.m`` 2 and 4, and the
+benchmark's gsee-deep plan (alpha 1 at ``epsilon`` 1e-3, 1227 budget
+halvings).
 Every line reads ``<run>/<file> <sha256>``, so two checkouts make the
 same bytes when ``diff`` of their outputs is empty. Not a pytest module.
 """
@@ -50,6 +52,7 @@ CONFIG = {
 INPUT_OVERRIDES = {
     "plan-m2": {"m": 2},
     "plan-m4": {"m": 4},
+    "plan-deep": {"epsilon": 1e-3},
 }
 
 RUNS = {
@@ -64,6 +67,7 @@ RUNS = {
     "bounds": ["--mode", "bounds"],
     "plan-m2": ["--mode", "plan", "--alpha-list", "0,0.5,1"],
     "plan-m4": ["--mode", "plan", "--alpha-list", "0,0.5,1"],
+    "plan-deep": ["--mode", "plan", "--alpha-list", "1"],
 }
 
 

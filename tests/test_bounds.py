@@ -197,7 +197,7 @@ def test_window_terms_and_fail_probs_against_direct_series(
     apart) make every term, and so each sign, visible at that precision."""
     plan = plan_m2
     if K is not None:
-        plan = dataclasses.replace(plan, K=K, Delta_work=gap_bins / plan.n_bins)
+        plan = dataclasses.replace(plan, K=K, Delta_input=gap_bins / plan.n_bins)
     if eta is not None:
         plan = dataclasses.replace(plan, eta=eta)
     tol = mpmath.mpf("1e-35")
@@ -205,7 +205,7 @@ def test_window_terms_and_fail_probs_against_direct_series(
         model = bounds._TwoStateModel(plan, mu_center)
         sigma, K = mpmath.mpf(plan.sigma_bins), plan.K
         mu = mpmath.mpf(mu_center)
-        ND = mpmath.mpf(plan.Delta_work) * plan.n_bins
+        ND = mpmath.mpf(plan.Delta_input) * plan.n_bins
         mu1 = mu + ND
         span = int(mpmath.ceil(60 * sigma))
 
@@ -290,7 +290,7 @@ def test_tiny_margins_match_the_plain_difference(plan):
     factor of ten of the window tail, so a sign slip there shows."""
     squeezed = [
         dataclasses.replace(
-            plan, q=q, K=K, sigma_tilde=plan.sigma_bins / (1 << q), Delta_work=gap / (1 << q)
+            plan, q=q, K=K, sigma_tilde=plan.sigma_bins / (1 << q), Delta_input=gap / (1 << q)
         )
         for q, K, gap in ((5, 13, 12), (6, 20, 20))
     ]

@@ -75,6 +75,8 @@ def test_plan_mode_writes_tables(tmp_path, capsys):
     assert [float(r["alpha"]) for r in rows] == [0.0, 0.5, 1.0]
     qs = [int(r["round_plan.q"]) for r in rows]
     assert qs == sorted(qs)
+    # How often the ratio predicate halved each round budget.
+    assert [int(r["round_plan.halvings"]) for r in rows] == [963, 1014, 1066]
     # The header is sorted, and every alpha's plan flattens to exactly it.
     header = list(rows[0])
     assert header == sorted(header)
@@ -83,6 +85,7 @@ def test_plan_mode_writes_tables(tmp_path, capsys):
         assert list(flatten_record(plan.to_dict())) == header
     text = Path(out, "plan.txt").read_text()
     assert "q" in text and "M0" in text
+    assert "round_plan.halvings = 963\n" in text
     echo = read_json(os.path.join(out, "config-echo.json"))
     assert echo["mode"] == "plan"
     assert echo["alpha_list"] == [0.0, 0.5, 1.0]
@@ -272,6 +275,10 @@ def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, val
         # A section the mode does not read is checked too.
         ("plan", "spectrum", "eigenphase", "spectrum"),
         ("spectrum", "dense_hamiltonian", "matrix_reel", "spectrum.dense_hamiltonian"),
+        # inputs is checked by name in every mode, planning or not.
+        ("plan", "inputs", "epsilonn", "inputs"),
+        ("qpe", "inputs", "epsilonn", "inputs"),
+        ("bounds", "inputs", "epsilonn", "inputs"),
     ],
 )
 def test_unknown_config_keys_are_named_errors(tmp_path, capsys, mode, section, key, where):
@@ -426,6 +433,19 @@ def test_mu_centers_outside_central_bin_are_named_error(tmp_path, capsys, center
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("gap", [0.6, 0.999999])
+def test_gaps_past_half_a_turn_are_named_error(tmp_path, capsys, gap):
+    # The planner sizes these gaps; the two-state model cannot hold them.
+    grid = {"etas": [0.5], "deltas": [0.01], "gaps": [gap], "orders": [1], "mu_centers": [0.0]}
+    config = {"bounds": {**grid, "mc": False}}
+    rc, out = run(tmp_path, ["--mode", "bounds"], config=config)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"bound grid gaps must be at most 1/2, got {gap!r}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_oversized_distribution_exits_two(tmp_path, capsys):
     config = json.loads(json.dumps(BASE_CONFIG))
     config["inputs"].update(alpha=1.0, epsilon=1e-6)
@@ -571,14 +591,15 @@ def test_bad_mode_rejected(tmp_path, capsys):
 
 
 def test_infeasible_budget_exits_two(tmp_path, capsys):
-    config = json.loads(json.dumps(BASE_CONFIG))
-    config["inputs"]["delta_fail"] = 0.9
-    config["inputs"]["alpha"] = 1.0
-    rc, out = run(tmp_path, ["--mode", "plan"], config=config)
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "infeasible" in err and "round_budget" in err
-    assert not os.path.exists(out)
+    # Above 0.01, and delta_fail / (4M) underflowed to 0: infeasible, not bad input.
+    for inputs in ({"delta_fail": 0.9, "alpha": 1.0}, {"delta_fail": 1e-30, "epsilon": 1e-150}):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["inputs"].update(inputs)
+        rc, out = run(tmp_path, ["--mode", "plan"], config=config)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "infeasible" in err and "round_budget" in err
+        assert not os.path.exists(out)
 
 
 def test_spectrum_plan_mismatch_exits_two(tmp_path, capsys):

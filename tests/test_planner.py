@@ -151,12 +151,19 @@ def test_infeasible_round_budget():
         (lambda: plan_sampling_round(0.01, 0.5, 1e-305, 1, 0.01), "register_width"),
         # The register span itself overflows to inf.
         (lambda: plan_sampling_round(0.01, 0.5, 1e-310, 1, 0.01), "register_width"),
+        # sigma_tilde underflows to 0.
+        (lambda: plan_sampling_round(0.01, 0.5, 5e-324, 1, 0.01), "register_width"),
+        # delta_fail / (4M) underflows to 0.
+        (lambda: plan_gsee(PlanInputs(1e-30, 0.5, 0.15, 1e-150)), "round_budget"),
+        # 16 / (3 eta) overflows: no finite per-round sample count.
+        (lambda: plan_gsee(PlanInputs(0.1, 5e-324, 0.15, 0.01)), "round_count"),
         # u grows with the budget as fast as L does: the cap is reached.
         (lambda: plan_sampling_round(0.01, 0.5, 0.1, 1, 1e-300), "delta_ratio"),
         (lambda: plan_gsee(PlanInputs(0.1, 0.5, 0.15, 1e-160, alpha=1.0)), "delta_ratio"),
     ],
     ids=["hoeffding_underflow", "gsee_underflow", "gsee_overflow", "register_past_float64",
-         "register_inf", "ratio_cap", "gsee_ratio_cap"],
+         "register_inf", "sigma_underflow", "gsee_budget_underflow", "gsee_eta_underflow",
+         "ratio_cap", "gsee_ratio_cap"],
 )
 def test_extreme_inputs_are_named_refusals(make, predicate):
     with pytest.raises(PlanInfeasible) as err:
@@ -172,9 +179,7 @@ def test_window_predicates_run_once_per_plan(monkeypatch):
     )
     plan = plan_sampling_round(0.01, 0.5, 0.15, 1, 0.005)
     assert calls == [(plan.sigma_bins, plan.q, plan.K, plan.Delta_input)]
-    assert plan.Delta_work == plan.Delta_input
-    assert len(plan.audit) == 1
-    assert plan.audit[0].startswith("halved round budget")
+    assert plan.halvings == 895
 
 
 @pytest.mark.parametrize(
@@ -235,8 +240,9 @@ def test_domain_corners_plan_or_refuse_the_ratio():
             outcomes.add("delta_ratio")
             continue
         assert all(plan.constraint_flags.values()), point
-        assert plan.Delta_work == plan.Delta_input
-        assert len(plan.audit) <= 1
+        assert plan.log_inv_delta_work == pytest.approx(
+            -math.log(point[0]) + plan.halvings * math.log(2.0), rel=1e-12
+        ), point
         outcomes.add("feasible")
     assert outcomes == {"feasible", "delta_ratio"}
 
@@ -254,16 +260,18 @@ def test_round_plan_invariants(delta, eta, gap, m):
     assert plan.two_K_plus_1 == 2 * plan.K + 1
     assert plan.two_K_plus_1 % 2 == 1
     assert plan.two_K_plus_1 >= 3
-    assert plan.two_K_plus_1 <= math.floor((2.0 / 3.0) * n * plan.Delta_work)
-    assert plan.dark_bins == math.floor(n * plan.Delta_work / 3.0)
-    assert plan.Delta_work <= plan.Delta_input
+    assert plan.two_K_plus_1 <= math.floor((2.0 / 3.0) * n * plan.Delta_input)
+    assert plan.dark_bins == math.floor(n * plan.Delta_input / 3.0)
     assert plan.log_inv_delta_work >= math.log(1.0 / plan.delta_input)
+    assert plan.log_inv_delta_work == pytest.approx(
+        math.log(1.0 / plan.delta_input) + plan.halvings * math.log(2.0), rel=1e-12
+    )
     assert plan.M0 == math.ceil(
         16.0 / (3.0 * eta) * (math.log(3.0) + plan.log_inv_delta_work)
     )
     assert plan.M0 >= plan.M0_nominal
     assert plan.sigma_tilde == pytest.approx(
-        (plan.Delta_work / 6.0) / (math.sqrt(m) * math.sqrt(2.0 * plan.L_value)),
+        (plan.Delta_input / 6.0) / (math.sqrt(m) * math.sqrt(2.0 * plan.L_value)),
         rel=1e-12,
     )
     assert plan.sigma_bins == pytest.approx(plan.sigma_tilde * n, rel=1e-15)
@@ -331,7 +339,7 @@ def test_predicate_values_match_float64_sums(which, acceptance_plan):
     if which == "small_window":
         args = (1.0, 6, 2, 5.0 / 64.0)
     else:
-        args = (plan.sigma_bins, plan.q, plan.K, plan.Delta_work)
+        args = (plan.sigma_bins, plan.q, plan.K, plan.Delta_input)
     values = _predicate_values(*args)
     expected = _float64_window_values(*args)
     assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
