@@ -5,7 +5,10 @@ high-precision evaluations of the quantity it bounds, on a coherent
 two-state worst-case model: a ground Gaussian of weight eta centered at
 mu inside the central bin, plus a contaminant Gaussian of weight 1 - eta
 a working gap away, combined with the worst relative phase (both signs
-are evaluated and the adverse one reported).
+are evaluated and the adverse one reported). Only models the plan
+itself accepts are evaluated: ``SpectrumSpec.validate_for_plan`` keeps
+both phases half a working gap clear of the register seam, so with the
+ground in the central bin the gap is at most about 1/3.
 
 The interesting margins live at scales like exp(-150) down to
 exp(-3000), far below float64. All model quantities are therefore
@@ -50,7 +53,6 @@ from .planner import (
     compute_C_eta,
     plan_sampling_round,
 )
-from .special import lambert_wm1_exp, wm1_sandwich
 
 __all__ = [
     "BoundCase",
@@ -76,6 +78,7 @@ DEFAULT_MU_CENTERS = (-0.5, -0.25, 0.0, 0.25, 0.49)
 # Relative moment target matching the default accuracy split at eps = 0.01.
 DEFAULT_EPS_REL = DEFAULT_INTERP_COEFF * 0.01
 _MC_SEED = 20260814
+_MC_CENTER = -0.25
 
 
 @dataclass(frozen=True)
@@ -733,17 +736,20 @@ def _pollution_case(model: _TwoStateModel, base: dict[str, Any]) -> BoundCase:
 
 
 def _q_requirement_case(plan: PlanParams) -> list[BoundCase]:
+    """The register width inverts through w = -W_{-1}(-e^(-u-1)), which
+    lies above 1 + sqrt(2u) + 2u/3 and, for u >= 1/2, below the planner's
+    ceiling 1 + 3u; ``sandwich_ok`` reports both sides."""
     u = plan.u_value
-    lo, mid, hi = wm1_sandwich(u)
-    w_exact = -lambert_wm1_exp(u)
+    w_exact = float(-mpmath.lambertw(-mpmath.exp(-mpmath.mpf(u) - 1), -1))
     lambert_n = math.sqrt(
         plan.m / (4.0 * math.pi**2 * plan.sigma_tilde**2) * w_exact
     )
+    lower = 1.0 + math.sqrt(2.0 * u) + (2.0 / 3.0) * u
     params = {
         **_base_params(plan, None),
         "u": u,
         "lambert_branch_value": w_exact,
-        "sandwich_ok": bool(lo <= w_exact <= hi),
+        "sandwich_ok": bool(lower <= w_exact <= 1.0 + 3.0 * u),
         "lambert_n_required": lambert_n,
         "orientation": "lower",
     }
@@ -770,16 +776,39 @@ def _check_mu_centers(mu_centers: Sequence[float]) -> None:
             )
 
 
+def _two_state_spectrum(plan: PlanParams, mu_center: float) -> simulator.SpectrumSpec:
+    """The two-state model as a spectrum: phases mu_center / N and a working
+    gap above it, overlaps eta and 1 - eta. Raise ``ValueError`` naming the
+    gap and the center unless ``validate_for_plan`` accepts it; its seam
+    rule keeps a gap of about 1/3 or less."""
+    theta0 = mu_center / plan.n_bins
+    theta1 = theta0 + plan.Delta_input
+    # The model's gap is exact; a sum rounded down would fall short of it.
+    if theta1 - theta0 < plan.Delta_input:
+        theta1 = math.nextafter(theta1, 1.0)
+    try:
+        spec = simulator.SpectrumSpec(
+            eigenphases=(theta0, theta1),
+            overlaps_sq=(plan.eta, 1.0 - plan.eta),
+        )
+        spec.validate_for_plan(plan)
+    except ValueError as exc:
+        raise ValueError(
+            f"bound grid gap {plan.Delta_input!r} at mu_center {mu_center!r} "
+            f"gives a two-state model its plan does not accept: {exc}"
+        ) from None
+    return spec
+
+
 def evaluate_plan_cases(
     plan: PlanParams,
     mu_centers: Sequence[float] = DEFAULT_MU_CENTERS,
 ) -> list[BoundCase]:
     """All bound cases for one plan across a panel of wrapped centers,
-    each in [-1/2, 1/2), for a plan whose gap is at most 1/2."""
+    each in [-1/2, 1/2), whose two-state models the plan accepts."""
     _check_mu_centers(mu_centers)
-    # Past half a turn the contaminant leaves the register the model normalizes over.
-    if not plan.Delta_input <= 0.5:
-        raise ValueError(f"bound grid gaps must be at most 1/2, got {plan.Delta_input!r}")
+    for mu_center in mu_centers:
+        _two_state_spectrum(plan, mu_center)
     cases: list[BoundCase] = []
     with mpmath.workdps(_DPS):
         cases.extend(_q_requirement_case(plan))
@@ -807,12 +836,7 @@ def _mc_case(plan: PlanParams, mu_center: float, rounds: int, seed: int) -> Boun
     ``estimation._draw_rounds``, from a Philox generator seeded by
     ``seed``, so the shadow checks the estimator that runs.
     """
-    theta0 = mu_center / plan.n_bins
-    spec = simulator.SpectrumSpec(
-        eigenphases=(theta0, theta0 + plan.Delta_input),
-        overlaps_sq=(plan.eta, 1.0 - plan.eta),
-    )
-    dist = simulator.mixed_distribution(spec, plan)
+    dist = simulator.mixed_distribution(_two_state_spectrum(plan, mu_center), plan)
     rng = np.random.Generator(np.random.Philox(seed))
     _, counts, sums, _ = estimation._draw_rounds(
         rng, dist, rounds, plan.M0, plan.two_K, plan.dark_bins
@@ -858,7 +882,10 @@ def run_default_grid(
     where a failure would be cheapest to see, so with ``mc`` true
     ``orders`` must hold 1. Every axis must be nonempty, ``mc_rounds``
     must lie in [1, ``estimation._MAX_ROUNDS``] (the rounds ``run_gsee``
-    holds in 2 GiB), every center in [-1/2, 1/2) and every gap at most 1/2.
+    holds in 2 GiB) and every center in [-1/2, 1/2). Every two-state
+    model the grid evaluates, the shadow's at center -1/4 included, must
+    pass its plan's ``validate_for_plan``, which bounds the gaps near 1/3;
+    a grid that fails is refused before any case is evaluated.
     """
     for name, axis in (
         ("etas", etas),
@@ -881,22 +908,26 @@ def run_default_grid(
             f"mc_rounds must be at most {estimation._MAX_ROUNDS}, got {mc_rounds!r}"
         )
     _check_mu_centers(mu_centers)
-    cases: list[BoundCase] = []
-    plans: list[PlanParams] = []
-    for eta in etas:
-        for delta in deltas:
-            for gap in gaps:
-                for m in orders:
-                    plan = plan_sampling_round(delta, eta, gap, m, eps_rel)
-                    plans.append(plan)
-                    cases.extend(evaluate_plan_cases(plan, mu_centers))
-    if mc:
-        middle_gap = sorted(gaps)[len(gaps) // 2]
-        mc_plans = [
-            p
-            for p in plans
-            if p.m == 1 and p.delta_input == max(deltas) and p.Delta_input == middle_gap
-        ]
-        for i, plan in enumerate(mc_plans):
-            cases.append(_mc_case(plan, -0.25, mc_rounds, _MC_SEED + i))
+    plans = [
+        plan_sampling_round(delta, eta, gap, m, eps_rel)
+        for eta in etas
+        for delta in deltas
+        for gap in gaps
+        for m in orders
+    ]
+    middle_gap = sorted(gaps)[len(gaps) // 2]
+    shadow = [
+        p
+        for p in plans
+        if mc and p.m == 1 and p.delta_input == max(deltas) and p.Delta_input == middle_gap
+    ]
+    # Refuse a model its plan does not accept before any case is evaluated.
+    for plan in plans:
+        for mu_center in mu_centers:
+            _two_state_spectrum(plan, mu_center)
+    for plan in shadow:
+        _two_state_spectrum(plan, _MC_CENTER)
+    cases = [case for plan in plans for case in evaluate_plan_cases(plan, mu_centers)]
+    for i, plan in enumerate(shadow):
+        cases.append(_mc_case(plan, _MC_CENTER, mc_rounds, _MC_SEED + i))
     return BoundReport(cases=tuple(cases))

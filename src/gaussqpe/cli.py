@@ -16,7 +16,6 @@ too large to hold, 3 bound violation in the laboratory grid.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -27,7 +26,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import bounds as bounds_lab
 from .estimation import _MAX_ROUNDS, RoundBudgetTooLarge, run_gsee, run_qpe_baseline
 from .planner import (
     GseePlan,
@@ -50,7 +48,6 @@ from .simulator import (
 
 __all__ = ["main"]
 
-_MODES = ("plan", "spectrum", "gsee", "qpe", "bounds", "sweep")
 _PLANNING_MODES = ("plan", "spectrum", "gsee", "sweep")
 _DEFAULT_SEED = 1
 _DEFAULT_ALPHAS = (0.0, 0.5, 1.0)
@@ -111,6 +108,13 @@ def _strict_float(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _strict_list(value: Any, name: str) -> list | tuple:
+    # A tuple is a built-in default; JSON gives lists.
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def _number_array(value: Any, name: str) -> np.ndarray:
@@ -179,6 +183,9 @@ def _spectrum_from_config(config: dict[str, Any]) -> SpectrumSpec:
         v_imag = arrays.get("initial_imag", np.zeros_like(v_real))
         ham = DenseHamiltonian(matrix=real + 1j * imag, initial=v_real + 1j * v_imag)
         return eigendecompose(ham)
+    for key in ("eigenphases", "overlaps_sq"):
+        if key in node:
+            _strict_list(node[key], f"spectrum.{key}")
     return SpectrumSpec.from_dict(node)
 
 
@@ -203,7 +210,10 @@ def _alpha_values(args: argparse.Namespace, config: dict[str, Any]) -> list[floa
                 raise ValueError(f"--alpha-list entries must be finite numbers, got {tok!r}")
             alphas.append(value)
     elif "alpha_list" in config:
-        alphas = [_strict_float(a, "alpha_list entry") for a in config["alpha_list"]]
+        alphas = [
+            _strict_float(a, "alpha_list entry")
+            for a in _strict_list(config["alpha_list"], "alpha_list")
+        ]
     elif args.mode == "sweep":
         alphas = list(_DEFAULT_ALPHAS)
     else:
@@ -282,13 +292,15 @@ def _gsee_one_alpha(spec, inputs, runs, children, threads):
     if threads == 1 or runs == 1:
         estimates = [one_run(i) for i in range(runs)]
     else:
+        import concurrent.futures
+
         workers = threads or None
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             estimates = list(pool.map(one_run, range(runs)))
     return plan, estimates
 
 
-def _cmd_gsee(args, config, sweep: bool = False) -> int:
+def _cmd_gsee(args, config) -> int:
     spec = _spectrum_from_config(config)
     alphas = args.alpha_values
     master = np.random.SeedSequence(args.seed)
@@ -352,7 +364,7 @@ def _cmd_gsee(args, config, sweep: bool = False) -> int:
     _write_plans(out, plans)
     _write_json(
         os.path.join(out, "summary.json"),
-        {"mode": "sweep" if sweep else "gsee", "seed": args.seed, "alphas": summary_alphas},
+        {"mode": args.mode, "seed": args.seed, "alphas": summary_alphas},
     )
     return 0
 
@@ -408,6 +420,8 @@ def _cmd_qpe(args, config) -> int:
 
 
 def _cmd_bounds(args, config) -> int:
+    from . import bounds as bounds_lab
+
     node = config.get("bounds", {})
     mc = node.get("mc", True)
     if not isinstance(mc, bool):
@@ -418,18 +432,16 @@ def _cmd_bounds(args, config) -> int:
     if mc_rounds > _MAX_ROUNDS:
         raise ValueError(f"bounds.mc_rounds must be at most {_MAX_ROUNDS}, got {mc_rounds}")
 
-    def floats(key: str, default: Sequence[float]) -> tuple[float, ...]:
-        return tuple(_strict_float(x, f"bounds.{key} entry") for x in node.get(key, default))
+    def axis(key: str, default: Sequence, strict=_strict_float) -> tuple:
+        values = _strict_list(node.get(key, default), f"bounds.{key}")
+        return tuple(strict(x, f"bounds.{key} entry") for x in values)
 
     report = bounds_lab.run_default_grid(
-        etas=floats("etas", bounds_lab.DEFAULT_ETAS),
-        deltas=floats("deltas", bounds_lab.DEFAULT_DELTAS),
-        gaps=floats("gaps", bounds_lab.DEFAULT_GAPS),
-        orders=tuple(
-            _strict_int(m, "bounds.orders entry")
-            for m in node.get("orders", bounds_lab.DEFAULT_ORDERS)
-        ),
-        mu_centers=floats("mu_centers", bounds_lab.DEFAULT_MU_CENTERS),
+        etas=axis("etas", bounds_lab.DEFAULT_ETAS),
+        deltas=axis("deltas", bounds_lab.DEFAULT_DELTAS),
+        gaps=axis("gaps", bounds_lab.DEFAULT_GAPS),
+        orders=axis("orders", bounds_lab.DEFAULT_ORDERS, _strict_int),
+        mu_centers=axis("mu_centers", bounds_lab.DEFAULT_MU_CENTERS),
         eps_rel=_strict_float(node.get("eps_rel", bounds_lab.DEFAULT_EPS_REL), "bounds.eps_rel"),
         mc=mc,
         mc_rounds=mc_rounds,
@@ -447,13 +459,31 @@ def _cmd_bounds(args, config) -> int:
     return 0 if report.all_hold else 3
 
 
+_COMMANDS = {
+    "plan": _cmd_plan,
+    "spectrum": _cmd_spectrum,
+    "gsee": _cmd_gsee,
+    "qpe": _cmd_qpe,
+    "bounds": _cmd_bounds,
+    "sweep": _cmd_gsee,
+}
+# Refusals of a well-formed input (exit 2), by the label stderr gives them.
+_REFUSALS = {
+    PlanInfeasible: "infeasible",
+    SpectrumPlanMismatch: "spectrum mismatch",
+    DistributionTooLarge: "distribution too large",
+    WindowTruncated: "window truncated",
+    RoundBudgetTooLarge: "round budget too large",
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _Parser(
         prog="gaussqpe",
         description="Plan, simulate, and audit Gaussian-window phase estimation.",
     )
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--mode", choices=_MODES, required=True)
+    parser.add_argument("--mode", choices=_COMMANDS, required=True)
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--runs", type=int, default=None, help="independent runs")
     parser.add_argument("--out", default="out", help="output directory")
@@ -485,34 +515,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"inputs.m must be 1 in {args.mode} mode (the estimator reports "
                 f"the basket mean), got {args.plan_inputs[0].m}"
             )
-
-        if args.mode == "plan":
-            return _cmd_plan(args, config)
-        if args.mode == "spectrum":
-            return _cmd_spectrum(args, config)
-        if args.mode == "gsee":
-            return _cmd_gsee(args, config)
-        if args.mode == "sweep":
-            return _cmd_gsee(args, config, sweep=True)
-        if args.mode == "qpe":
-            return _cmd_qpe(args, config)
-        if args.mode == "bounds":
-            return _cmd_bounds(args, config)
-        raise ValueError(f"unknown mode {args.mode!r}")
-    except PlanInfeasible as exc:
-        print(f"infeasible: {exc} [{exc.predicate}]", file=sys.stderr)
-        return 2
-    except SpectrumPlanMismatch as exc:
-        print(f"spectrum mismatch: {exc}", file=sys.stderr)
-        return 2
-    except DistributionTooLarge as exc:
-        print(f"distribution too large: {exc}", file=sys.stderr)
-        return 2
-    except WindowTruncated as exc:
-        print(f"window truncated: {exc}", file=sys.stderr)
-        return 2
-    except RoundBudgetTooLarge as exc:
-        print(f"round budget too large: {exc}", file=sys.stderr)
+        return _COMMANDS[args.mode](args, config)
+    except tuple(_REFUSALS) as exc:
+        predicate = f" [{exc.predicate}]" if isinstance(exc, PlanInfeasible) else ""
+        print(f"{_REFUSALS[type(exc)]}: {exc}{predicate}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -269,12 +269,26 @@ def test_second_moment_convergence():
     plan = plan_sampling_round(0.01, 1.0, 0.2, 2, 0.01)
     theta0 = 0.1
     probs = distribution_from_window(gaussian_window(plan.q, plan.sigma_tilde), theta0)
+    rounds, block = 100_000, 20
+    # The stream is the same however it is batched: draw `block` rounds at
+    # once (small enough to stay in cache) and window each row of signed
+    # residues on its leftmost residue.
     stream = SampleStream(probs, SEED)
-    rounds = 100_000
     vals = np.empty(rounds)
-    for i in range(rounds):
-        basket = estimation.run_sampling_round(stream, plan)
-        vals[i] = np.mean(basket.members.astype(np.float64) ** 2)
+    for start in range(0, rounds, block):
+        res = stream.draw(block * plan.M0)
+        res[res > plan.n_bins // 2] -= plan.n_bins
+        res = res.reshape(block, plan.M0)
+        basket = res <= res.min(axis=1, keepdims=True) + plan.two_K
+        # Integer sums of squares are exact, as the oracle's float64 sums are.
+        squares = np.sum(res * res, axis=1, where=basket)
+        vals[start : start + block] = squares / np.count_nonzero(basket, axis=1)
+    oracle = SampleStream(probs, SEED)
+    prefix = [
+        np.mean(estimation.run_sampling_round(oracle, plan).members.astype(np.float64) ** 2)
+        for _ in range(1000)
+    ]
+    assert np.array_equal(vals[:1000], prefix)
 
     target = float(gaussian.fourier_moment(2, 0, theta0 * plan.n_bins, plan.sigma_bins).real)
     mean = float(vals.mean())

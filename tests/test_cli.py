@@ -212,6 +212,32 @@ def test_bounds_mode_reduced_grid(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "mode, section, key, value",
+    [
+        ("plan", None, "alpha_list", 0.5),
+        ("bounds", "bounds", "etas", "0.5"),
+        ("bounds", "bounds", "deltas", 0.01),
+        ("bounds", "bounds", "gaps", 0.1),
+        ("bounds", "bounds", "orders", 1),
+        ("bounds", "bounds", "mu_centers", {"x": 0.0}),
+        ("spectrum", "spectrum", "eigenphases", 0.1),
+        ("gsee", "spectrum", "overlaps_sq", 1.0),
+    ],
+)
+def test_lists_that_are_not_lists_are_named_errors(tmp_path, capsys, mode, section, key, value):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["bounds"] = {"mc": False}
+    node = config[section] if section else config
+    node[key] = value
+    rc, out = run(tmp_path, ["--mode", mode], config=config)
+    assert rc == 1
+    where = f"{section}.{key}" if section else key
+    err = capsys.readouterr().err
+    assert f"input error: {where} must be a list, got {value!r}" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
     "mode, section, key, value, message",
     [
         ("plan", "inputs", "m", 1.9, "m must be an integer"),
@@ -435,13 +461,36 @@ def test_mu_centers_outside_central_bin_are_named_error(tmp_path, capsys, center
 
 @pytest.mark.parametrize("gap", [0.6, 0.999999])
 def test_gaps_past_half_a_turn_are_named_error(tmp_path, capsys, gap):
-    # The planner sizes these gaps; the two-state model cannot hold them.
+    # The planner sizes these gaps; the contaminant phase leaves (-1/2, 1/2).
     grid = {"etas": [0.5], "deltas": [0.01], "gaps": [gap], "orders": [1], "mu_centers": [0.0]}
     config = {"bounds": {**grid, "mc": False}}
     rc, out = run(tmp_path, ["--mode", "bounds"], config=config)
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"bound grid gaps must be at most 1/2, got {gap!r}" in err
+    assert f"bound grid gap {gap!r} at mu_center 0.0 gives a two-state model" in err
+    assert "eigenphases must lie strictly inside (-1/2, 1/2)" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("mc", [False, True])
+@pytest.mark.parametrize("gap", [0.34, 0.48, 0.5])
+def test_gaps_the_plan_refuses_are_named_error(tmp_path, capsys, monkeypatch, gap, mc):
+    """Past about 1/3 the contaminant comes within half a working gap of
+    the seam, which ``validate_for_plan`` refuses; the grid refuses it
+    too, by name and before any case, whether or not the shadow runs."""
+
+    def no_model(*args):
+        raise AssertionError("a case was evaluated")
+
+    monkeypatch.setattr(bounds, "_TwoStateModel", no_model)
+    grid = {"etas": [0.25], "deltas": [0.01], "gaps": [gap], "orders": [1], "mu_centers": [0.0]}
+    with pytest.raises(ValueError, match=f"bound grid gap {gap!r} at mu_center 0.0 gives"):
+        run_default_grid(**grid, mc=mc)
+    rc, out = run(tmp_path, ["--mode", "bounds"], config={"bounds": {**grid, "mc": mc}})
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"input error: bound grid gap {gap!r} at mu_center 0.0 gives" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 

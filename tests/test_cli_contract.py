@@ -58,7 +58,7 @@ SPECS = {
         "mc_rounds": ((1, 500), (2**63, -1)),
         "etas": (([0.5],), ([1.0], [1e-300], [])),
         "deltas": (([0.01],), ([0.02], [1e-300])),
-        "gaps": (([0.1],), ([0.999999], [1.0])),
+        "gaps": (([0.1],), ([0.34], [0.48], [0.5], [0.999999], [1.0])),
         "orders": (([1],), ([4], [5], [1.0])),
         "mu_centers": (([0.0],), ([-0.5], [0.5])),
         "eps_rel": ((0.001,), (0.999999, 1.0)),

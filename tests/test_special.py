@@ -1,18 +1,23 @@
-"""Lambert branch solver and its sandwich bounds.
+"""The Lambert W_{-1} branch behind the register-width requirement.
 
-Reference W_{-1} values frozen from mpmath.lambertw(. , -1) in
-tests/make_oracles.py; scipy provides an independent implementation for
-the randomized comparison. References quoted at an argument y of
-W_{-1} are checked through the log-domain solver at u = -ln(-y) - 1.
+The bound lab takes w = -W_{-1}(-e^(-u-1)) from ``mpmath.lambertw`` at
+its working precision and reports it with the sandwich the planner's
+ceiling 1 + 3u relies on. Reference W_{-1} values are frozen from
+mpmath.lambertw(. , -1) in tests/make_oracles.py; scipy provides an
+independent implementation for the randomized comparison. References
+quoted at an argument y of W_{-1} are checked at u = -ln(-y) - 1.
 """
 
+import dataclasses
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
-from gaussqpe.special import lambert_wm1_exp, wm1_sandwich
+from gaussqpe import bounds
+from gaussqpe.planner import plan_sampling_round
 
 
 def _u_of(y):
@@ -25,35 +30,39 @@ WM1_Y01 = -3.5771520639572972184
 WM1_Y025 = -2.1532923641103496492
 WM1_U20 = -24.185764204040805482
 
+_PLAN = plan_sampling_round(0.01, 0.5, 0.1, 1, bounds.DEFAULT_EPS_REL)
+
+
+def _lab(u):
+    """The bound lab's register_requirement params at log-domain argument u."""
+    with mpmath.workdps(bounds._DPS):
+        case = bounds._q_requirement_case(dataclasses.replace(_PLAN, u_value=u))[0]
+    assert case.kind == "register_requirement"
+    return case.params
+
 
 def test_branch_values_match_reference():
-    assert lambert_wm1_exp(1.0) == pytest.approx(WM1_EXP_U1, rel=1e-12)
-    assert lambert_wm1_exp(20.0) == pytest.approx(WM1_U20, rel=1e-12)
-    assert lambert_wm1_exp(_u_of(-0.1)) == pytest.approx(WM1_Y01, rel=1e-12)
-    assert lambert_wm1_exp(_u_of(-0.25)) == pytest.approx(WM1_Y025, rel=1e-12)
+    for u, ref in (
+        (1.0, WM1_EXP_U1),
+        (20.0, WM1_U20),
+        (_u_of(-0.1), WM1_Y01),
+        (_u_of(-0.25), WM1_Y025),
+    ):
+        params = _lab(u)
+        assert params["lambert_branch_value"] == pytest.approx(-ref, rel=1e-15)
+        assert params["sandwich_ok"]
 
 
 def test_branch_point():
-    assert lambert_wm1_exp(_u_of(-1.0 / math.e)) == pytest.approx(-1.0, rel=1e-8)
-    assert lambert_wm1_exp(0.0) == pytest.approx(-1.0, rel=1e-6)
-
-
-def test_rejects_positive_or_subcritical_argument():
-    # y < -1/e maps to u < 0; y >= 0 has no real u, so the log-domain
-    # form cannot even be called there. A non-finite u is rejected too.
-    with pytest.raises(ValueError):
-        lambert_wm1_exp(_u_of(-0.5))
-    with pytest.raises(ValueError):
-        lambert_wm1_exp(-1.0)
-    for u in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            lambert_wm1_exp(u)
+    # At u = 0 the argument is -1/e; next to it, w = 1 + sqrt(2u) + O(u).
+    assert _lab(0.0)["lambert_branch_value"] == pytest.approx(1.0, rel=1e-15)
+    assert _lab(1e-20)["lambert_branch_value"] == pytest.approx(1.0 + math.sqrt(2e-20), rel=1e-15)
 
 
 @given(st.floats(min_value=1e-3, max_value=700.0))
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_agrees_with_scipy(u):
-    ours = lambert_wm1_exp(u)
+    ours = -_lab(u)["lambert_branch_value"]
     if u < 36.0:
         # scipy evaluates the branch directly while the argument is
         # representable; beyond that -exp(-u-1) underflows its input.
@@ -64,20 +73,14 @@ def test_agrees_with_scipy(u):
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_sandwich_brackets_solution(u):
-    lower, mid, loose = wm1_sandwich(u)
-    exact = -lambert_wm1_exp(u)
+    """1 + sqrt(2u) + 2u/3 < w < 1 + sqrt(2u) + u, and the planner's
+    ceiling 1 + 3u joins the chain past u = 1/2 (it sizes only under
+    its u > 1 predicate)."""
+    exact = _lab(u)["lambert_branch_value"]
+    s = math.sqrt(2.0 * u)
+    lower, mid, loose = 1.0 + s + (2.0 / 3.0) * u, 1.0 + s + u, 1.0 + 3.0 * u
     assert lower <= exact <= mid
     if u >= 0.5:
-        # The loose form only joins the chain past u = 1/2; the planner
-        # uses it solely under its u > 1 predicate.
         assert mid <= loose
-
-
-def test_sandwich_orders_terms():
-    lower, mid, upper = wm1_sandwich(2.0)
-    assert lower == pytest.approx(1.0 + 2.0 + 4.0 / 3.0)
-    assert mid == pytest.approx(1.0 + 2.0 + 2.0)
-    assert upper == pytest.approx(7.0)
-
