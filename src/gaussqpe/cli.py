@@ -60,8 +60,11 @@ _CONFIG_KEYS = {
     "qpe": ("epsilon", "delta"),
     "bounds": ("mc", "mc_rounds", "etas", "deltas", "gaps", "orders", "mu_centers", "eps_rel"),
     "spectrum": ("path", "eigenphases", "overlaps_sq", "dense_hamiltonian"),
+    "spectrum file": ("eigenphases", "overlaps_sq", "dense_hamiltonian"),
     "dense_hamiltonian": ("matrix_real", "matrix_imag", "initial_real", "initial_imag"),
 }
+# The ways a spectrum section gives its spectrum, by their keys.
+_SPECTRUM_SOURCES = (("path",), ("dense_hamiltonian",), ("eigenphases", "overlaps_sq"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,8 +76,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
     if isinstance(value, float):
         return format(value, ".17g")
     if value is None:
@@ -166,10 +167,16 @@ def _spectrum_from_config(config: dict[str, Any]) -> SpectrumSpec:
     node = config.get("spectrum")
     if node is None:
         raise ValueError("config is missing the 'spectrum' section")
-    if "path" in node:
+    # One source each: a second would be ignored. A file holds no path.
+    for where in ("spectrum", "spectrum file"):
+        given = ["/".join(keys) for keys in _SPECTRUM_SOURCES if any(k in node for k in keys)]
+        if len(given) > 1:
+            raise ValueError(f"{where} gives more than one source: {', '.join(given)}")
+        if "path" not in node:
+            break
         with open(node["path"]) as fh:
             node = json.load(fh)
-        _check_keys(node, "spectrum", "spectrum file")
+        _check_keys(node, "spectrum file", "spectrum file")
     if "dense_hamiltonian" in node:
         dense = node["dense_hamiltonian"]
         arrays = {
@@ -220,6 +227,12 @@ def _alpha_values(args: argparse.Namespace, config: dict[str, Any]) -> list[floa
         alphas = [_strict_float(config.get("inputs", {}).get("alpha", 0.0), "inputs.alpha")]
     if not alphas:
         raise ValueError("alpha list is empty; give at least one interpolation exponent")
+    # summary.json keys each alpha by its printed form; two alike would merge.
+    keys = [f"{a:g}" for a in alphas]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            first = alphas[keys.index(key)]
+            raise ValueError(f"alpha list entries {first!r} and {alphas[i]!r} both print as {key}")
     return alphas
 
 

@@ -25,7 +25,8 @@ the working gap is the input gap.
 The window-quality predicates (aliasing mass, tail mass, contamination
 norm) are evaluated on the mpmath lattice series of ``gaussian``, the
 same series the bound laboratory certifies with, at a fixed 53-bit
-precision, once per plan at the sized window (a failing one is refused).
+precision. Every predicate is checked once, and a failing one is refused
+by name: a returned plan meets them all, so none is recorded in it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any
 
 import mpmath
@@ -196,8 +197,8 @@ class PlanParams:
     the ratio predicate L >= 4(1+3u), the only thing the planner shrinks;
     the round runs at the input gap ``Delta_input``. ``M0_nominal``
     applies the sample count formula at the input budget, which is what
-    closed-form cost statements quote. ``constraint_flags`` records every
-    feasibility predicate evaluated at the final parameters.
+    closed-form cost statements quote. A returned plan meets every
+    feasibility predicate: the planner refuses a failing one by name.
     """
 
     m: int
@@ -212,14 +213,12 @@ class PlanParams:
     sigma_tilde: float
     q: int
     K: int
-    two_K_plus_1: int
     dark_bins: int
     C_eta: float
     u_value: float
     L_value: float
     q_lower_bound: float
     register_query_bound: float
-    constraint_flags: dict[str, bool] = field(compare=False)
 
     @property
     def n_bins(self) -> int:
@@ -231,12 +230,11 @@ class PlanParams:
 
     @property
     def two_K(self) -> int:
-        return self.two_K_plus_1 - 1
+        return 2 * self.K
 
     def to_dict(self) -> dict[str, Any]:
         return {
             **_field_values(self),
-            "constraint_flags": dict(self.constraint_flags),
             "sigma_bins": self.sigma_bins,
             "n_bins": self.n_bins,
         }
@@ -244,12 +242,12 @@ class PlanParams:
 
 @dataclass(frozen=True)
 class GseePlan:
-    """Round plan plus the Hoeffding averaging layer around it."""
+    """Round plan plus the Hoeffding averaging layer around it. The working
+    gap and the per-round budget delta_fail / (4M) are the round plan's
+    ``Delta_input`` and ``delta_input``; it meets every predicate."""
 
     inputs: PlanInputs
-    Delta_alpha: float
     M: int
-    delta_tilde_1: float
     delta_2: float
     support_bound: float
     round_plan: PlanParams
@@ -328,13 +326,13 @@ def plan_sampling_round(
         Relative moment accuracy target (turns**m units).
 
     One pass: the budget halves (in log space) until the headroom ratio
-    predicate holds, and the window predicates are checked once, at the
+    predicate holds, and every other predicate is checked once, at the
     sized window. Raises ``PlanInfeasible`` naming the predicate that
     fails: ``delta_ratio`` past the halving cap, ``register_width`` when
     2**q would pass float64 range or sigma_tilde underflows to 0,
     ``round_count`` when M0 would (a subnormal eta), or ``window_width``
-    or a window-quality predicate at the sized window (no valid input
-    fails those last two).
+    or one of the ten predicates checked at the sized window (no valid
+    input fails those last two).
     """
     if not (0.0 < delta <= 0.01):
         raise ValueError(f"round budget delta must lie in (0, 0.01], got {delta!r}")
@@ -397,7 +395,7 @@ def plan_sampling_round(
         M0, L, sigma_tilde, u, q = derived(log_inv_delta)
     _check_register(q)
 
-    # The window predicates, once, at the sized window.
+    # The other predicates, once, at the sized window.
     width = _window_width(q, Delta)
     if width < 3:
         raise PlanInfeasible(f"window width {width} below 3 bins at q={q}", "window_width")
@@ -405,33 +403,29 @@ def plan_sampling_round(
     n_bins = float(1 << q)
     sigma_bins = sigma_tilde * n_bins
     A, T, R = _predicate_values(sigma_bins, q, K, Delta)
-    # In the order a failing one is reported.
-    window_flags = {
+    q_lower = (math.sqrt(m) / (2.0 * math.pi * sigma_tilde)) * math.sqrt(1.0 + 3.0 * u)
+    # Every predicate but delta_ratio, which the halving loop's exit holds,
+    # in the order a failing one is reported.
+    predicates = {
         "aliasing_eighth": A <= _PREDICATE_CEILING,
         "tail_eighth": T <= _PREDICATE_CEILING,
         "contamination_eighth": R / math.sqrt(eta) <= _PREDICATE_CEILING,
         "u_floor": u > 1.0,
-    }
-    failing = next((name for name, ok in window_flags.items() if not ok), None)
-    if failing is not None:
-        raise PlanInfeasible(f"predicate {failing} fails at q={q}, K={K}", failing)
-
-    q_lower = (math.sqrt(m) / (2.0 * math.pi * sigma_tilde)) * math.sqrt(1.0 + 3.0 * u)
-    query_bound = (6.0 * math.sqrt(2.0) * m / (math.pi * Delta)) * math.sqrt(
-        (1.0 + 3.0 * u) * L
-    )
-    flags = {
-        **window_flags,
-        "delta_ratio": L >= 4.0 * (1.0 + 3.0 * u),
         "q_floor_delta_sixth": 1.0 / n_bins <= Delta / 6.0,
         "tail_regime": K >= 1 and sigma_bins <= K - 0.5,
         "contamination_regime": Delta * n_bins > K + 0.5,
-        "sigma_gap": sigma_bins
-        <= (Delta * n_bins / 3.0 - 1.5) / math.sqrt(2.0 * L),
+        "sigma_gap": sigma_bins <= (Delta * n_bins / 3.0 - 1.5) / math.sqrt(2.0 * L),
         "sigma_quarter_root": sigma_bins
         <= 2.0 ** (-0.25) * math.sqrt((K - 0.5) / (2.0 * math.pi)),
         "q_meets_lower_bound": n_bins >= q_lower,
     }
+    failing = next((name for name, ok in predicates.items() if not ok), None)
+    if failing is not None:
+        raise PlanInfeasible(f"predicate {failing} fails at q={q}, K={K}", failing)
+
+    query_bound = (6.0 * math.sqrt(2.0) * m / (math.pi * Delta)) * math.sqrt(
+        (1.0 + 3.0 * u) * L
+    )
     return PlanParams(
         m=m,
         eta=eta,
@@ -445,14 +439,12 @@ def plan_sampling_round(
         sigma_tilde=sigma_tilde,
         q=q,
         K=K,
-        two_K_plus_1=width,
         dark_bins=math.floor(Delta * n_bins / 3.0),
         C_eta=C,
         u_value=u,
         L_value=L,
         q_lower_bound=q_lower,
         register_query_bound=query_bound,
-        constraint_flags=flags,
     )
 
 
@@ -482,9 +474,7 @@ def plan_gsee(inputs: PlanInputs) -> GseePlan:
     )
     return GseePlan(
         inputs=inputs,
-        Delta_alpha=Delta,
         M=M,
-        delta_tilde_1=delta_tilde_1,
         delta_2=delta / 2.0,
         support_bound=support_bound,
         round_plan=round_plan,

@@ -176,7 +176,8 @@ class SpectrumSpec:
             raise SpectrumPlanMismatch(
                 f"ground overlap {self.ground_overlap_sq!r} below floor {eta!r}"
             )
-        if self.gap < Delta:
+        # Two phases typed a working gap apart may differ by a few ulp less.
+        if self.gap < Delta - 4.0 * math.ulp(0.5):
             raise SpectrumPlanMismatch(
                 f"spectral gap {self.gap!r} below working gap {Delta!r}"
             )

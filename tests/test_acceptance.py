@@ -84,7 +84,7 @@ def test_printed_constants():
         hand_m0 = math.ceil(16.0 / (3.0 * 0.5) * math.log(3.0 * 4 * hand_m / 0.01))
         checks.append(g.M == hand_m == want_M)
         checks.append(g.round_plan.M0_nominal == hand_m0 == want_M0)
-        checks.append(abs(g.delta_tilde_1 - 0.01 / (4 * g.M)) <= 1e-12)
+        checks.append(abs(g.round_plan.delta_input - 0.01 / (4 * g.M)) <= 1e-12)
 
     _verdict(
         "printed-constants",

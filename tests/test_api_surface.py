@@ -1,10 +1,13 @@
 """Every exported name resolves, and so does every callable the traced
 benchmark wraps (``bench/spans.py``), so a cleanup cannot silently break
-either."""
+either; and the command line's import chain stays lean."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,16 @@ def test_benchmark_span_targets_resolve():
         for attr in path.split("."):
             owner = getattr(owner, attr)
         assert callable(owner), f"{module_name}.{path}"
+
+
+def test_cli_import_leaves_lazy_modules_unloaded():
+    """The bound lab and ``concurrent.futures`` are imported only by the
+    modes that use them: together they add about 33 ms to every run's
+    start-up."""
+    lazy = ("gaussqpe.bounds", "concurrent.futures")
+    code = f"import sys, gaussqpe.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(gaussqpe.__file__).parent.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

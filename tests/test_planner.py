@@ -65,7 +65,7 @@ def test_interpolation_endpoints(alpha, expected_M, expected_M0):
     )
     assert plan.M == expected_M
     assert plan.round_plan.M0_nominal == expected_M0
-    assert plan.delta_tilde_1 == pytest.approx(0.01 / (4 * plan.M), rel=1e-15)
+    assert plan.round_plan.delta_input == pytest.approx(0.01 / (4 * plan.M), rel=1e-15)
     assert plan.delta_2 == pytest.approx(0.005, rel=1e-15)
 
 
@@ -207,9 +207,43 @@ def test_narrow_window_is_refused(monkeypatch):
     assert err.value.predicate == "window_width"
 
 
+@pytest.mark.parametrize(
+    "window_width, predicate",
+    [
+        # K = 1 holds less than sigma_bins + 1/2 bins.
+        (lambda q, Delta: 3, "tail_regime"),
+        # The window reaches the contaminant a working gap away.
+        (lambda q, Delta: 2 * math.ceil(Delta * 2**q) + 1, "contamination_regime"),
+    ],
+    ids=["tail_regime", "contamination_regime"],
+)
+def test_failing_regime_predicate_is_refused(monkeypatch, window_width, predicate):
+    monkeypatch.setattr(planner, "_predicate_values", lambda *args: (0.0, 0.0, 0.0))
+    monkeypatch.setattr(planner, "_window_width", window_width)
+    with pytest.raises(PlanInfeasible) as err:
+        plan_sampling_round(0.01, 0.5, 0.15, 1, 0.005)
+    assert err.value.predicate == predicate
+
+
+def _assert_meets_every_predicate(plan):
+    """Every feasibility predicate, from the plan's own numbers."""
+    n, K, sigma = plan.n_bins, plan.K, plan.sigma_bins
+    Delta, u, L = plan.Delta_input, plan.u_value, plan.L_value
+    A, T, R = _predicate_values(sigma, plan.q, K, Delta)
+    assert max(A, T, R / math.sqrt(plan.eta)) <= 0.125
+    assert u > 1.0
+    assert L >= 4.0 * (1.0 + 3.0 * u)
+    assert 1.0 / n <= Delta / 6.0
+    assert K >= 1 and sigma <= K - 0.5
+    assert Delta * n > K + 0.5
+    assert sigma <= (Delta * n / 3.0 - 1.5) / math.sqrt(2.0 * L)
+    assert sigma <= 2.0 ** (-0.25) * math.sqrt((K - 0.5) / (2.0 * math.pi))
+    assert n >= plan.q_lower_bound
+
+
 def test_domain_corners_plan_or_refuse_the_ratio():
-    # The window predicates are checked once, at the sized window; this
-    # pins that no input in the domain fails one there. Every corner of
+    # The predicates are checked once, at the sized window; this pins that
+    # no input in the domain fails one there. Every corner of
     # (delta, eta, Delta, m, eps_rel), plus seeded points between them.
     deltas, etas = (0.01, 1e-300), (1.0, 1e-300)
     gaps, rels = (1e-3, 0.999999), (1e-50, 0.999999)
@@ -239,7 +273,7 @@ def test_domain_corners_plan_or_refuse_the_ratio():
             assert exc.predicate == "delta_ratio", point
             outcomes.add("delta_ratio")
             continue
-        assert all(plan.constraint_flags.values()), point
+        _assert_meets_every_predicate(plan)
         assert plan.log_inv_delta_work == pytest.approx(
             -math.log(point[0]) + plan.halvings * math.log(2.0), rel=1e-12
         ), point
@@ -257,10 +291,9 @@ def test_domain_corners_plan_or_refuse_the_ratio():
 def test_round_plan_invariants(delta, eta, gap, m):
     plan = plan_sampling_round(delta, eta, gap, m, 0.005)
     n = plan.n_bins
-    assert plan.two_K_plus_1 == 2 * plan.K + 1
-    assert plan.two_K_plus_1 % 2 == 1
-    assert plan.two_K_plus_1 >= 3
-    assert plan.two_K_plus_1 <= math.floor((2.0 / 3.0) * n * plan.Delta_input)
+    assert plan.two_K == 2 * plan.K
+    assert plan.K >= 1
+    assert plan.two_K + 1 <= math.floor((2.0 / 3.0) * n * plan.Delta_input)
     assert plan.dark_bins == math.floor(n * plan.Delta_input / 3.0)
     assert plan.log_inv_delta_work >= math.log(1.0 / plan.delta_input)
     assert plan.log_inv_delta_work == pytest.approx(
@@ -282,10 +315,7 @@ def test_round_plan_invariants(delta, eta, gap, m):
     assert plan.register_query_bound == pytest.approx(2.0 * plan.q_lower_bound,
                                                    rel=1e-12)
     assert n <= plan.register_query_bound
-    assert plan.u_value > 1.0
-    assert plan.L_value >= 4.0 * (1.0 + 3.0 * plan.u_value)
-    assert len(plan.constraint_flags) == 11
-    assert all(plan.constraint_flags.values())
+    _assert_meets_every_predicate(plan)
 
 
 def test_depth_interpolation_monotone():

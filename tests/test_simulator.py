@@ -269,6 +269,19 @@ class TestSpectrumSpec:
         with pytest.raises(SpectrumPlanMismatch):
             near_seam.validate_for_plan(acceptance_plan.round_plan)
 
+    def test_gap_typed_as_the_working_gap_is_accepted(self):
+        # Phases k/1e4 and k/1e4 + 1/8, summed or typed: the float gap may
+        # fall an ulp short of 1/8, which is rounding, not a narrower gap.
+        plan = plan_sampling_round(0.01, 0.5, 0.125, 1, 0.005)
+        for k in range(1, 200):
+            theta0 = k / 1e4
+            for theta1 in (theta0 + 0.125, float(f"{theta0 + 0.125:.4f}")):
+                SpectrumSpec(eigenphases=(theta0, theta1),
+                             overlaps_sq=(0.5, 0.5)).validate_for_plan(plan)
+        short = SpectrumSpec(eigenphases=(0.01, 0.135 - 1e-12), overlaps_sq=(0.5, 0.5))
+        with pytest.raises(SpectrumPlanMismatch, match="below working gap"):
+            short.validate_for_plan(plan)
+
 
 class TestEigendecompose:
     def test_offdiagonal_two_level(self):
