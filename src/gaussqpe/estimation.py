@@ -26,17 +26,23 @@ samples them exactly, in residue order, with C(r) the mass at residues
    dark bins, plus a remainder cell, gives their counts (the
    conditional-binomial method; Devroye, Non-Uniform Random Variate
    Generation, 1986). Residues past the seam at +2**(q-1) do not exist,
-   so their cells are empty.
+   so their cells are empty. These probabilities depend on a alone, so
+   all the rounds with one anchor share one cell vector: the remainder
+   cell first, then the walked bins with nonzero mass in residue order.
+   numpy's multinomial stops once every draw is placed, so a round walks
+   the remainder and the live bins up to its rightmost draw.
 
-The cost is O(M * (2K + dark_bins)) instead of O(M * M0). Rounds are
-drawn in blocks of ``_ROUND_BLOCK``, and the block fixes the order in
-which a run consumes its Philox generator: results are deterministic in
-(plan, distribution, seed), and changing the block changes the bytes.
-The bound lab's Monte Carlo shadow runs ``_draw_rounds`` too, so rounds
-are simulated in this one place. ``basket_from_outcomes`` and
-``run_sampling_round`` still window raw outcomes, as the tests' oracle
-for the law of ``_draw_rounds``; the baseline draws raw outcomes from
-``SampleStream``.
+The cost is O(M * cells walked) plus O(2K + dark_bins) per distinct
+anchor, instead of O(M * M0): on the acceptance plan a round walks a
+median of 21 of the 211 live cells, and a run's 830 rounds share about
+6 anchors. Rounds are drawn in chunks of ``_ROUND_CHUNK``, and the chunk
+fixes the order in which a run consumes its Philox generator: results
+are deterministic in (plan, distribution, seed), and changing the chunk
+changes the bytes of every run longer than one chunk. The bound lab's
+Monte Carlo shadow runs ``_draw_rounds`` too, so rounds are simulated in
+this one place. ``basket_from_outcomes`` and ``run_sampling_round``
+still window raw outcomes, as the tests' oracle for the law of
+``_draw_rounds``; the baseline draws raw outcomes from ``SampleStream``.
 
 The rectangular-window majority-vote baseline lives here too, sized by
 ``planner.plan_qpe_baseline``.
@@ -70,15 +76,19 @@ __all__ = [
 ]
 
 _OVERLAP_ONE_TOL = 1e-12
-# Rounds per block of the round sampler. The block fixes the order in
-# which a run consumes its generator, so changing it changes the bytes.
-# At 32 rounds a block's (rounds, 2K + dark_bins) temporaries stay near
-# 160 kB on the acceptance plan and are reused from the heap; at 256 they
-# are 1.25 MB each, and glibc maps and faults them afresh every block.
-_ROUND_BLOCK = 32
+# Rounds per chunk of the round sampler. The chunk fixes the order in
+# which a run consumes its generator, so changing it changes the bytes of
+# every run longer than one chunk. It bounds the per-round temporaries of
+# a chunk at 512 kB each.
+_ROUND_CHUNK = 1 << 16
+# Rounds per Generator.multinomial call. numpy draws a call's rows one
+# after another, so this bounds the (rounds, live cells) output of an
+# anchor with many rounds without changing a byte.
+_MULTINOMIAL_ROWS = 64
 # Bytes held per round by run_gsee: the four int64 statistics of
 # _draw_rounds and the float64 round means. Rounds are capped so that
-# these stay within the limit mixed_distribution puts on a distribution.
+# these stay within the limit mixed_distribution puts on a distribution;
+# the sampler's other temporaries are bounded by _ROUND_CHUNK, not by M.
 _ROUND_BYTES = 5 * 8
 _MAX_ROUNDS = _MAX_DISTRIBUTION_BYTES // _ROUND_BYTES
 
@@ -176,10 +186,11 @@ def _draw_rounds(
 
     Returns int64 arrays of per-round anchors, basket counts, basket sums
     and dark counts, with the joint law of windowing M0 independent draws
-    from ``dist`` (see the module docstring). Rounds are drawn in blocks
-    of ``_ROUND_BLOCK``; each block takes its anchor uniforms, its
-    first-hit uniforms, its binomials and its multinomials from ``rng``
-    in that order.
+    from ``dist`` (see the module docstring). Rounds are drawn in chunks
+    of ``_ROUND_CHUNK``; each chunk takes its anchor uniforms, its
+    first-hit uniforms and its binomials from ``rng`` in that order, then
+    the multinomials of its rounds, anchor by anchor in ascending order
+    and each anchor's rounds in round order.
     """
     cdf, mixed = dist.cdf, dist.mixed
     n_bins = dist.n_bins
@@ -192,16 +203,14 @@ def _draw_rounds(
     # either half; both bins carry mass whenever their branch is taken.
     last_pos = int(np.searchsorted(cdf, c_half, side="left"))
     last_neg = int(np.searchsorted(cdf, 1.0, side="left"))
-    walked = two_K + dark_bins
-    offsets = np.arange(1, walked + 1, dtype=np.int64)
+    offsets = np.arange(1, two_K + dark_bins + 1, dtype=np.int64)
 
     anchors = np.empty(rounds, dtype=np.int64)
     counts = np.empty(rounds, dtype=np.int64)
     sums = np.empty(rounds, dtype=np.int64)
     darks = np.empty(rounds, dtype=np.int64)
-    for start in range(0, rounds, _ROUND_BLOCK):
-        rows = min(_ROUND_BLOCK, rounds - start)
-        block = slice(start, start + rows)
+    for start in range(0, rounds, _ROUND_CHUNK):
+        rows = min(_ROUND_CHUNK, rounds - start)
 
         # Anchor: P(min <= r) = 1 - (1 - C(r))**M0 exceeds u exactly when
         # C(r) exceeds t, so the anchor is the first residue with C(r) > t.
@@ -224,29 +233,47 @@ def _draw_rounds(
         k = 1 + rng.binomial(M0 - np.clip(first, 1, M0).astype(np.int64), pi)
 
         # The other M0 - k draws fall right of the anchor with probabilities
-        # mixed / (1 - C(a)). Residues past the seam at +N/2 do not exist;
-        # their bins wrap to residues left of the anchor and are masked.
-        residues = a[:, np.newaxis] + offsets
-        pvals = np.zeros((rows, walked + 1))
-        np.divide(
-            mixed[residues & (n_bins - 1)],
-            above[:, np.newaxis],
-            out=pvals[:, :walked],
-            where=(residues <= half) & (above[:, np.newaxis] > 0.0),
-        )
-        # Rounding can push a row past 1 when little mass is left. The
-        # last cell takes the draws beyond the dark segment; multinomial
-        # gives it whatever the others leave and only range-checks it.
-        total = pvals.sum(axis=1)
-        pvals[:, :walked] /= np.maximum(total, 1.0)[:, np.newaxis]
-        pvals[:, walked] = 1.0 - np.minimum(total, 1.0)
-        walk = rng.multinomial(M0 - k, pvals)
-
-        window = walk[:, :two_K]
-        counts[block] = k + window.sum(axis=1)
-        sums[block] = a * counts[block] + window @ offsets[:two_K]
-        darks[block] = walk[:, two_K:walked].sum(axis=1)
-        anchors[block] = a
+        # mixed / (1 - C(a)), which depend on the anchor alone: one cell
+        # vector serves all the rounds with that anchor.
+        order = np.argsort(a, kind="stable")
+        distinct, firsts = np.unique(a[order], return_index=True)
+        ends = np.append(firsts[1:], rows)
+        for anchor, lo, hi in zip(distinct.tolist(), firsts.tolist(), ends.tolist()):
+            rest = above[order[lo]]
+            # Residues past the seam at +N/2 do not exist; their bins wrap
+            # to residues left of the anchor and are masked.
+            residues = anchor + offsets
+            p = np.zeros(offsets.size)
+            np.divide(
+                mixed[residues & (n_bins - 1)],
+                rest,
+                out=p,
+                where=(residues <= half) & (rest > 0.0),
+            )
+            # Rounding can push the total past 1 when little mass is left.
+            total = p.sum()
+            if total > 1.0:
+                p /= total
+            # The remainder cell, the draws past the dark segment, comes
+            # first, so that the walk stops once the draws near the anchor
+            # are placed; a remainder of 0 draws nothing from the stream.
+            # Bins of exactly 0 are dropped: they would hold no draw.
+            # numpy gives the last cell what the others leave, so that
+            # cell is a live bin, or the remainder when no bin is live.
+            live = np.flatnonzero(p)
+            cells = np.concatenate(([1.0 - min(total, 1.0)], p[live]))
+            n_window = int(np.count_nonzero(live < two_K))
+            window_offsets = offsets[live[:n_window]]
+            for sub in range(lo, hi, _MULTINOMIAL_ROWS):
+                batch = order[sub : min(sub + _MULTINOMIAL_ROWS, hi)]
+                walk = rng.multinomial(M0 - k[batch], cells)
+                window = walk[:, 1 : 1 + n_window]
+                count = k[batch] + window.sum(axis=1)
+                at = batch + start
+                counts[at] = count
+                sums[at] = anchor * count + window @ window_offsets
+                darks[at] = walk[:, 1 + n_window :].sum(axis=1)
+        anchors[start : start + rows] = a
     return anchors, counts, sums, darks
 
 
@@ -262,7 +289,7 @@ def run_gsee(
     Each round's anchor, basket count, basket sum and dark count are
     drawn directly (``_draw_rounds``) from a Philox generator seeded by
     ``seed``, so results depend on (plan, dist, seed) and
-    ``_ROUND_BLOCK`` only. ``n_left`` counts rounds whose anchor fell
+    ``_ROUND_CHUNK`` only. ``n_left`` counts rounds whose anchor fell
     more than K bins left of the median anchor, the signature of a
     left-outlier round. Raises ``ValueError`` unless the round is sized
     for the basket mean (moment order m = 1), the estimate the Hoeffding

@@ -218,7 +218,6 @@ class PlanParams:
     u_value: float
     L_value: float
     q_lower_bound: float
-    register_query_bound: float
 
     @property
     def n_bins(self) -> int:
@@ -248,7 +247,6 @@ class GseePlan:
 
     inputs: PlanInputs
     M: int
-    delta_2: float
     support_bound: float
     round_plan: PlanParams
 
@@ -423,9 +421,6 @@ def plan_sampling_round(
     if failing is not None:
         raise PlanInfeasible(f"predicate {failing} fails at q={q}, K={K}", failing)
 
-    query_bound = (6.0 * math.sqrt(2.0) * m / (math.pi * Delta)) * math.sqrt(
-        (1.0 + 3.0 * u) * L
-    )
     return PlanParams(
         m=m,
         eta=eta,
@@ -444,7 +439,6 @@ def plan_sampling_round(
         u_value=u,
         L_value=L,
         q_lower_bound=q_lower,
-        register_query_bound=query_bound,
     )
 
 
@@ -475,7 +469,6 @@ def plan_gsee(inputs: PlanInputs) -> GseePlan:
     return GseePlan(
         inputs=inputs,
         M=M,
-        delta_2=delta / 2.0,
         support_bound=support_bound,
         round_plan=round_plan,
     )

@@ -7,9 +7,10 @@ Run from the repository root:
 Each mode runs through ``gaussqpe.cli.main`` on the acceptance config
 (plan at alpha 0, 0.5 and 1; spectrum; gsee at one and two threads;
 sweep; the qpe baseline at 50 runs; bounds on the benchmark's sub-grid),
-plan runs at alphas 0, 0.5 and 1 with ``inputs.m`` 2 and 4, and the
+plan runs at alphas 0, 0.5 and 1 with ``inputs.m`` 2 and 4, the
 benchmark's gsee-deep plan (alpha 1 at ``epsilon`` 1e-3, 1227 budget
-halvings).
+halvings), and one gsee run at alpha 0 and ``epsilon`` 1e-3, whose 83 000
+rounds span two chunks of the round sampler.
 Every line reads ``<run>/<file> <sha256>``, so two checkouts make the
 same bytes when ``diff`` of their outputs is empty. Not a pytest module.
 """
@@ -53,6 +54,7 @@ INPUT_OVERRIDES = {
     "plan-m2": {"m": 2},
     "plan-m4": {"m": 4},
     "plan-deep": {"epsilon": 1e-3},
+    "gsee-eps1e-3": {"epsilon": 1e-3},
 }
 
 RUNS = {
@@ -68,6 +70,7 @@ RUNS = {
     "plan-m2": ["--mode", "plan", "--alpha-list", "0,0.5,1"],
     "plan-m4": ["--mode", "plan", "--alpha-list", "0,0.5,1"],
     "plan-deep": ["--mode", "plan", "--alpha-list", "1"],
+    "gsee-eps1e-3": ["--mode", "gsee", "--runs", "1", "--seed", "13"],
 }
 
 

@@ -211,7 +211,7 @@ def test_depth_interpolation(acceptance_inputs):
     ok = (
         all(a <= b for a, b in zip(qs, qs[1:]))
         and all(a >= b for a, b in zip(totals, totals[1:]))
-        and all(g.round_plan.n_bins <= g.round_plan.register_query_bound for g in plans)
+        and all(g.round_plan.n_bins <= 2 * g.round_plan.q_lower_bound for g in plans)
     )
     _verdict(
         "depth-interpolation",

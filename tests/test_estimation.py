@@ -278,11 +278,9 @@ TOY_MASS = {-7: 0.05, -6: 0.05, -1: 0.05, 0: 0.05, 2: 0.05,
             5: 0.15, 6: 0.15, 7: 0.2, 8: 0.25}
 
 
-def test_round_sampler_matches_exact_joint_law():
-    """Chi-square goodness of fit of (anchor, count, sum, dark) against the
-    law enumerated over every multiset of M0 draws; cells expected below
-    5 are pooled into one."""
-    dist = _lattice_dist(TOY_Q, TOY_MASS)
+def _toy_law() -> Counter:
+    """Probability of each (anchor, count, sum, dark) on the toy lattice,
+    enumerated over every multiset of M0 draws."""
     law: Counter = Counter()
     for draw in itertools.combinations_with_replacement(sorted(TOY_MASS), TOY_M0):
         mult = Counter(draw)
@@ -290,6 +288,15 @@ def test_round_sampler_matches_exact_joint_law():
         for residue, n in mult.items():
             weight = weight / math.factorial(n) * TOY_MASS[residue] ** n
         law[_round_stats(draw, TOY_TWO_K, TOY_DARK)] += weight
+    return law
+
+
+def test_round_sampler_matches_exact_joint_law():
+    """Chi-square goodness of fit of (anchor, count, sum, dark) against the
+    law enumerated over every multiset of M0 draws; cells expected below
+    5 are pooled into one."""
+    dist = _lattice_dist(TOY_Q, TOY_MASS)
+    law = _toy_law()
     assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
 
     rounds = 40_000
@@ -322,10 +329,13 @@ def _pooled_table(a: np.ndarray, b: np.ndarray, columns: int) -> np.ndarray:
                      for x in (a, b)])
 
 
-@pytest.mark.parametrize("spectrum", [
+SAMPLER_SPECTRA = pytest.mark.parametrize("spectrum", [
     ((-0.2, -0.05, 0.15), (0.5, 0.3, 0.2)),
     ((0.42,), (1.0,)),  # windows cross the seam at +2**(q-1)
 ], ids=["acceptance", "near-seam"])
+
+
+@SAMPLER_SPECTRA
 def test_round_sampler_matches_sample_stream(acceptance_plan, spectrum):
     """Two-sample chi-square tests of the anchor, basket-count and
     basket-mean histograms against rounds windowed from SampleStream
@@ -405,3 +415,36 @@ class TestRoundSamplerExactCases:
         np.testing.assert_array_equal(darks, 0)
         np.testing.assert_array_equal(sums[~right], counts[~right] * (-half + 1))
 
+
+def test_round_chunks_keep_the_exact_cases(monkeypatch):
+    """Runs split into 333-round chunks, with a short last chunk, keep the
+    exact cases: the toy lattice's 5000 rounds (15 chunks and 5 rounds)
+    draw no round of probability 0, and the two-spike (20 000 rounds) and
+    past-the-seam (5000) checks hold."""
+    chunk, rounds = 333, 5000
+    assert rounds // chunk >= 3 and rounds % chunk > 0
+    toy = (_lattice_dist(TOY_Q, TOY_MASS), rounds, TOY_M0, TOY_TWO_K, TOY_DARK, 9)
+    unchunked = _draw(*toy)
+    monkeypatch.setattr(estimation, "_ROUND_CHUNK", chunk)
+    chunked = _draw(*toy)
+    assert not all(map(np.array_equal, chunked, unchunked)), "the chunk was not read"
+    sampled = set(zip(*(x.tolist() for x in chunked)))
+    assert sampled <= set(_toy_law()), "a sampled round has probability 0"
+    cases = TestRoundSamplerExactCases()
+    cases.test_two_spikes_in_one_window()
+    cases.test_window_past_seam_is_masked()
+
+
+@SAMPLER_SPECTRA
+def test_multinomial_batching_moves_no_byte(acceptance_plan, spectrum, monkeypatch):
+    """numpy draws a multinomial call's rows one after another, so one
+    round per call gives the same arrays as the default batching."""
+    round_plan = acceptance_plan.round_plan
+    dist = mixed_distribution(SpectrumSpec(*spectrum), acceptance_plan)
+    args = (dist, 2000, round_plan.M0, round_plan.two_K, round_plan.dark_bins, 41)
+    batched = _draw(*args)
+    # Some anchor holds more rounds than one call takes.
+    assert np.unique(batched[0], return_counts=True)[1].max() > estimation._MULTINOMIAL_ROWS
+    monkeypatch.setattr(estimation, "_MULTINOMIAL_ROWS", 1)
+    for ours, one_row in zip(batched, _draw(*args)):
+        np.testing.assert_array_equal(ours, one_row)
