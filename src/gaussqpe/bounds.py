@@ -261,6 +261,15 @@ class _TwoStateModel:
             and self.T <= _PREDICATE_CEILING
             and self.root_inv_eta * self.R <= _PREDICATE_CEILING
         )
+        # Adverse-sign single-draw probabilities, read by the failure-rate
+        # cases and by the Monte Carlo shadow.
+        left = self._region_probs(None, int(mpmath.floor(self.mu - self.ND / 3)) - 1)
+        gap = self._region_probs(
+            int(mpmath.ceil(self.mu + self.ND / 3)),
+            int(mpmath.floor(self.mu + 2 * self.ND / 3)),
+        )
+        xleft = self._region_probs(-self.K, 0)
+        self._fail = (max(left.values()), max(gap.values()), min(xleft.values()))
 
     # Polluted-vector offsets, per relative sign.
 
@@ -360,14 +369,9 @@ class _TwoStateModel:
 
     def fail_probs(self) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
         """Adverse-sign (p_left, p_gap, p_xleft): a draw left of the
-        separation line, in the gap, and in the left half-window."""
-        left = self._region_probs(None, int(mpmath.floor(self.mu - self.ND / 3)) - 1)
-        gap = self._region_probs(
-            int(mpmath.ceil(self.mu + self.ND / 3)),
-            int(mpmath.floor(self.mu + 2 * self.ND / 3)),
-        )
-        xleft = self._region_probs(-self.K, 0)
-        return max(left.values()), max(gap.values()), min(xleft.values())
+        separation line, in the gap, and in the left half-window. Formed
+        once, when the model is built."""
+        return self._fail
 
     def p0_tilde(self, s: int) -> mpmath.mpf:
         return self.eta * (1 + self.fpol_sq_minus_1(s)) / self.N0
@@ -798,9 +802,14 @@ def _two_state_spectrum(plan: PlanParams, mu_center: float) -> simulator.Spectru
 def evaluate_plan_cases(
     plan: PlanParams,
     mu_centers: Sequence[float] = DEFAULT_MU_CENTERS,
+    models: dict[float, _TwoStateModel] | None = None,
 ) -> list[BoundCase]:
     """All bound cases for one plan across a panel of wrapped centers,
-    each in [-1/2, 1/2), whose two-state models the plan accepts."""
+    each in [-1/2, 1/2), whose two-state models the plan accepts.
+
+    A ``models`` dict, when given, receives the model built at each
+    center, keyed by center, so a caller can evaluate more at it without
+    building it again."""
     _check_mu_centers(mu_centers)
     for mu_center in mu_centers:
         _two_state_spectrum(plan, mu_center)
@@ -809,6 +818,8 @@ def evaluate_plan_cases(
         cases.extend(_q_requirement_case(plan))
         for mu_center in mu_centers:
             model = _TwoStateModel(plan, mu_center)
+            if models is not None:
+                models[mu_center] = model
             base = _base_params(plan, mu_center)
             cases.extend(_norm_cases(model, base))
             cases.extend(_tail_cases(model, base))
@@ -821,7 +832,13 @@ def evaluate_plan_cases(
     return cases
 
 
-def _mc_case(plan: PlanParams, mu_center: float, rounds: int, seed: int) -> BoundCase:
+def _mc_case(
+    plan: PlanParams,
+    mu_center: float,
+    rounds: int,
+    seed: int,
+    model: _TwoStateModel | None = None,
+) -> BoundCase:
     """Empirical round-failure frequency against the analytic budget.
 
     Failure is the operational event |basket mean - center| > 2K bins;
@@ -829,7 +846,9 @@ def _mc_case(plan: PlanParams, mu_center: float, rounds: int, seed: int) -> Boun
     below resolution that any observed failure is a genuine red flag.
     Rounds are drawn by ``run_gsee``'s own sampler,
     ``estimation._draw_rounds``, from a Philox generator seeded by
-    ``seed``, so the shadow checks the estimator that runs.
+    ``seed``, so the shadow checks the estimator that runs. The analytic
+    rate reads ``model``, the plan's two-state model at ``mu_center``,
+    which is built here when not given.
     """
     dist = simulator.mixed_distribution(_two_state_spectrum(plan, mu_center), plan)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -839,7 +858,9 @@ def _mc_case(plan: PlanParams, mu_center: float, rounds: int, seed: int) -> Boun
     # The anchor bin holds at least one draw, so no count is 0.
     failures = int(np.count_nonzero(np.abs(sums / counts - mu_center) > 2 * plan.K))
     with mpmath.workdps(_DPS):
-        p_left, _, p_xleft = _TwoStateModel(plan, mu_center).fail_probs()
+        if model is None:
+            model = _TwoStateModel(plan, mu_center)
+        p_left, _, p_xleft = model.fail_probs()
         analytic = 1 - (
             (1 - p_left) ** plan.M0 - (1 - p_left - p_xleft) ** plan.M0
         )
@@ -912,17 +933,24 @@ def run_default_grid(
     ]
     middle_gap = sorted(gaps)[len(gaps) // 2]
     shadow = [
-        p
-        for p in plans
+        i
+        for i, p in enumerate(plans)
         if mc and p.m == 1 and p.delta_input == max(deltas) and p.Delta_input == middle_gap
     ]
     # Refuse a model its plan does not accept before any case is evaluated.
     for plan in plans:
         for mu_center in mu_centers:
             _two_state_spectrum(plan, mu_center)
-    for plan in shadow:
-        _two_state_spectrum(plan, _MC_CENTER)
-    cases = [case for plan in plans for case in evaluate_plan_cases(plan, mu_centers)]
-    for i, plan in enumerate(shadow):
-        cases.append(_mc_case(plan, _MC_CENTER, mc_rounds, _MC_SEED + i))
+    for i in shadow:
+        _two_state_spectrum(plans[i], _MC_CENTER)
+    # The shadow reuses its plan's model at _MC_CENTER when the panel has it.
+    cases: list[BoundCase] = []
+    shadow_models = []
+    for i, plan in enumerate(plans):
+        models: dict[float, _TwoStateModel] = {}
+        cases.extend(evaluate_plan_cases(plan, mu_centers, models))
+        if i in shadow:
+            shadow_models.append(models.get(_MC_CENTER))
+    for k, (i, model) in enumerate(zip(shadow, shadow_models)):
+        cases.append(_mc_case(plans[i], _MC_CENTER, mc_rounds, _MC_SEED + k, model))
     return BoundReport(cases=tuple(cases))

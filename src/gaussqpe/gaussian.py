@@ -22,6 +22,11 @@ from the peak (or from frequency 1) and stops once a term falls below
 ``_REL_CUTOFF`` times the largest seen, so no value is formed as
 1 + tiny and the truncation error sits far below the working precision
 of every caller (53 bits in the planner, 60 digits in the bound lab).
+The lattice walk pays no ``exp`` per bin: it holds each term as a
+fixed-point integer relative to the peak term and steps it by the exact
+Gaussian ratio recurrence, two integer products per bin, with enough
+guard bits that its rounding stays below one ulp of the sum over
+``_LOOP_CAP`` steps (see ``range_moments``).
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ _MAX_MOMENT_ORDER = 4
 _REL_CUTOFF = "1e-75"
 _LOOP_CAP = 100_000
 _DUAL_CAP = 1000
+# ``range_moments`` walks in fixed point 2**-(prec + _GUARD_BITS) below its
+# head and forms its constants at prec + _CONST_BITS (see its docstring).
+_GUARD_BITS = 300
+_CONST_BITS = 40
 
 
 def g0(x, mu, sigma):
@@ -102,46 +111,74 @@ def range_moments(mu, sigma, lo, hi, m_max: int) -> list[mpmath.mpf]:
     """Sums of n**j * g0(n, mu, sigma) for j = 0..m_max over integer n in [lo, hi].
 
     Either bound may be None (unbounded); an empty range sums to zeros.
-    The loop starts at the in-range integer nearest the peak and walks
-    outward, stopping once density values fall below the working-precision
-    cutoff relative to the largest seen; polynomial weights cannot outrun
-    the Gaussian decay on the scales involved here.
-    """
-    totals = [mpmath.mpf(0)] * (m_max + 1)
-    if lo is not None and hi is not None and lo > hi:
-        return totals
-    mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
-    # g0 in mpmath, with its two per-point constants formed once per call.
-    two_var = 2 * sigma**2
-    scale = sigma * mpmath.sqrt(2 * mpmath.pi)
-    cutoff = mpmath.mpf(_REL_CUTOFF)
-    n0 = int(mpmath.nint(mu))
-    if lo is not None:
-        n0 = max(n0, int(lo))
-    if hi is not None:
-        n0 = min(n0, int(hi))
-    head = mpmath.mpf(0)
+    The walk starts at the in-range integer n0 nearest the peak and steps
+    outward on each side, stopping once a term falls below ``_REL_CUTOFF``
+    times the head g(n0), the largest term of the range; polynomial
+    weights cannot outrun the Gaussian decay on the scales involved here.
 
-    def walk(start: int, step: int, limit) -> None:
-        nonlocal head
-        n = start
-        for _ in range(_LOOP_CAP):
+    The terms are fixed-point integers G = g / g(n0) * 2**b with
+    b = prec + ``_GUARD_BITS``, stepped by the exact recurrence
+    g(n + s) = g(n) * rho and rho <- rho * exp(-1/sigma**2): two integer
+    products per bin, each truncated by less than one unit 2**-b. The
+    guard bits keep a term at the cutoff (1e-75, about 2**-249) a
+    nonzero integer with more than prec bits to spare, so the stop test
+    is exact enough and the truncations add up to at most _LOOP_CAP
+    units, far below one ulp of the sum. The head, the decay and the
+    first ratio are formed once, in mpmath, at prec + ``_CONST_BITS``:
+    after k steps the ratio carries k of their relative errors and the
+    term about k**2 / 2, below 2**-(prec + 7) up to _LOOP_CAP steps, so
+    the walk never re-anchors on a fresh ``exp``. A side's ratio enters
+    fixed point only if the range holds a bin past n0 on that side: with
+    the peak far outside [lo, hi], the ratio toward it is exp(+large).
+    """
+    if lo is not None and hi is not None and lo > hi:
+        return [mpmath.mpf(0)] * (m_max + 1)
+    prec = mpmath.mp.prec
+    b = prec + _GUARD_BITS
+    with mpmath.workprec(prec + _CONST_BITS):
+        mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
+        n0 = int(mpmath.nint(mu))
+        if lo is not None:
+            n0 = max(n0, int(lo))
+        if hi is not None:
+            n0 = min(n0, int(hi))
+        two_var = 2 * sigma**2
+        d = n0 - mu
+        head = mpmath.exp(-(d**2) / two_var) / (sigma * mpmath.sqrt(2 * mpmath.pi))
+        decay = mpmath.exp(-2 / two_var)
+        # g(n0 + 1) / g(n0) and g(n0 - 1) / g(n0); their product is the decay.
+        rho = {+1: mpmath.exp(-(2 * d + 1) / two_var)}
+        rho[-1] = decay / rho[+1]
+        fixed_decay = int(mpmath.ldexp(decay, b))
+        floor = int(mpmath.ldexp(mpmath.mpf(_REL_CUTOFF), b))
+        # The head term, G = 2**b at n0; the walks add the rest.
+        sums = [n0**j << b for j in range(m_max + 1)]
+
+        def walk(step: int, limit) -> None:
+            """Add the terms at n0 + step, n0 + 2 step, ... within ``limit``."""
+            n = n0 + step
             if limit is not None and (n - limit) * step > 0:
                 return
-            g = mpmath.exp(-((n - mu) ** 2) / two_var) / scale
-            head = max(head, g)
-            nj = mpmath.mpf(1)
-            for j in range(m_max + 1):
-                totals[j] += nj * g
-                nj *= n
-            if head > 0 and g < head * cutoff:
-                return
-            n += step
-        raise ArithmeticError("lattice sum failed to converge")
+            r = g = int(mpmath.ldexp(rho[step], b))
+            for _ in range(_LOOP_CAP):
+                sums[0] += g
+                t = g
+                for j in range(1, m_max + 1):
+                    t *= n
+                    sums[j] += t
+                if g < floor:
+                    return
+                n += step
+                if limit is not None and (n - limit) * step > 0:
+                    return
+                r = (r * fixed_decay) >> b
+                g = (g * r) >> b
+            raise ArithmeticError("lattice sum failed to converge")
 
-    walk(n0, +1, hi)
-    walk(n0 - 1, -1, lo)
-    return totals
+        walk(+1, hi)
+        walk(-1, lo)
+        scaled = [mpmath.ldexp(head * s, -b) for s in sums]
+    return [+v for v in scaled]
 
 
 def outside_moments(mu, sigma, lo: int, hi: int, m_max: int) -> list[mpmath.mpf]:

@@ -243,11 +243,11 @@ class PlanParams:
 class GseePlan:
     """Round plan plus the Hoeffding averaging layer around it. The working
     gap and the per-round budget delta_fail / (4M) are the round plan's
-    ``Delta_input`` and ``delta_input``; it meets every predicate."""
+    ``Delta_input`` and ``delta_input``; it meets every predicate. The
+    Hoeffding support width that sized M is 4/3 of the working gap."""
 
     inputs: PlanInputs
     M: int
-    support_bound: float
     round_plan: PlanParams
 
     @property
@@ -469,7 +469,6 @@ def plan_gsee(inputs: PlanInputs) -> GseePlan:
     return GseePlan(
         inputs=inputs,
         M=M,
-        support_bound=support_bound,
         round_plan=round_plan,
     )
 

@@ -9,8 +9,9 @@ Each mode runs through ``gaussqpe.cli.main`` on the acceptance config
 sweep; the qpe baseline at 50 runs; bounds on the benchmark's sub-grid),
 plan runs at alphas 0, 0.5 and 1 with ``inputs.m`` 2 and 4, the
 benchmark's gsee-deep plan (alpha 1 at ``epsilon`` 1e-3, 1227 budget
-halvings), and one gsee run at alpha 0 and ``epsilon`` 1e-3, whose 83 000
-rounds span two chunks of the round sampler.
+halvings), one gsee run at alpha 0 and ``epsilon`` 1e-3, whose 83 000
+rounds span two chunks of the round sampler, and bounds on the default
+grid with its Monte Carlo shadow (5235 cases, about 2 s).
 Every line reads ``<run>/<file> <sha256>``, so two checkouts make the
 same bytes when ``diff`` of their outputs is empty. Not a pytest module.
 """
@@ -57,6 +58,10 @@ INPUT_OVERRIDES = {
     "gsee-eps1e-3": {"epsilon": 1e-3},
 }
 
+# Runs named here take this ``bounds`` section in place of CONFIG's; an
+# empty one runs the default grid.
+BOUNDS_OVERRIDES = {"bounds-default": {}}
+
 RUNS = {
     "plan-alpha0": ["--mode", "plan", "--alpha-list", "0"],
     "plan-alpha0.5": ["--mode", "plan", "--alpha-list", "0.5"],
@@ -71,6 +76,7 @@ RUNS = {
     "plan-m4": ["--mode", "plan", "--alpha-list", "0,0.5,1"],
     "plan-deep": ["--mode", "plan", "--alpha-list", "1"],
     "gsee-eps1e-3": ["--mode", "gsee", "--runs", "1", "--seed", "13"],
+    "bounds-default": ["--mode", "bounds"],
 }
 
 
@@ -84,7 +90,8 @@ def main_digests() -> int:
             config = os.path.join(tmp, f"{name}.json")
             with open(config, "w") as fh:
                 inputs = {**CONFIG["inputs"], **INPUT_OVERRIDES.get(name, {})}
-                json.dump({**CONFIG, "inputs": inputs}, fh)
+                grid = BOUNDS_OVERRIDES.get(name, CONFIG["bounds"])
+                json.dump({**CONFIG, "inputs": inputs, "bounds": grid}, fh)
             out = os.path.join(tmp, name)
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):

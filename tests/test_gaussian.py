@@ -10,6 +10,7 @@ against explicit float64 sums of ``g0``.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -234,3 +235,58 @@ def test_window_mass_matches_direct_sum():
 def test_empty_range_sums_to_zero():
     assert range_moments(0, 1, 3, 2, 0) == [0]
     assert range_moments(0.4, 2.5, 0, -1, 2) == [0, 0, 0]
+
+
+def _direct_moments(mu, sigma, lo, hi, m_max, dps=80):
+    """Term-by-term sums of n**j g0(n) over [lo, hi], each term from its own exp."""
+    with mpmath.workdps(dps):
+        mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
+        scale = sigma * mpmath.sqrt(2 * mpmath.pi)
+        terms = [(n, mpmath.exp(-((n - mu) ** 2) / (2 * sigma**2)) / scale) for n in range(lo, hi + 1)]
+        return [mpmath.fsum(n**j * g for n, g in terms) for j in range(m_max + 1)]
+
+
+def _assert_rel_close(got, want, rel):
+    with mpmath.workdps(80):
+        for g, w in zip(got, want, strict=True):
+            assert abs(g - w) <= rel * abs(w), (g, w)
+
+
+@pytest.mark.parametrize("mu", [0.3, -0.41, 0.5])
+def test_long_walk_keeps_sixty_digits(mu):
+    """At sigma = 3000 the walk covers about 56 000 bins per side. The full
+    lattice moments are the continuous ones, 1, mu and mu**2 + sigma**2, up
+    to dual terms below exp(-2 pi**2 sigma**2)."""
+    with mpmath.workdps(60):
+        got = range_moments(mu, 3000, None, None, 2)
+        mu_mp = mpmath.mpf(mu)
+        _assert_rel_close(got, [1, mu_mp, mu_mp**2 + 3000**2], 1e-55)
+
+
+@pytest.mark.parametrize("mu", [1e6, -1e6])
+def test_peak_far_outside_the_range(mu):
+    """The ratio toward a peak a million bins away is exp(+1e6); the walk
+    never steps toward it, so the sum is the edge term and returns at once."""
+    with mpmath.workdps(60):
+        start = time.perf_counter()
+        got = range_moments(mu, 1, -3, 3, 4)
+        elapsed = time.perf_counter() - start
+        _assert_rel_close(got, _direct_moments(mu, 1, -3, 3, 4), 1e-55)
+    assert elapsed < 0.25
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, lo, hi",
+    [
+        (0.3, 0.9, 2, 2),
+        (-1.7, 1.4, -2, -2),
+        (5.2, 0.8, 1, 1),
+        (0.45, 2.5, 1, 2),
+        (-0.3, 1.1, -2, -1),
+        (-3.6, 0.7, 2, 3),
+    ],
+)
+def test_one_and_two_bin_ranges_match_direct_sums(mu, sigma, lo, hi):
+    with mpmath.workdps(60):
+        got = range_moments(mu, sigma, lo, hi, 4)
+        _assert_rel_close(got, _direct_moments(mu, sigma, lo, hi, 4), 1e-55)
