@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
 import sys
+import typing
 from typing import Any, Sequence
 
 import numpy as np
@@ -53,15 +53,43 @@ _DEFAULT_SEED = 1
 _DEFAULT_ALPHAS = (0.0, 0.5, 1.0)
 # EnergyEstimate.diagnostics written as estimates.csv columns, in order.
 _DIAGNOSTICS = ("basket_fraction", "dark_fraction", "median_anchor")
-# Keys of each config section, checked where it nests, in every mode.
+# Every config key and the type of its value, checked in every mode: int,
+# float (any JSON number), bool, str, a list of one of those, np.ndarray
+# (nested lists of numbers), or a dict, a section of its own.
 _CONFIG_KEYS = {
-    "inputs": tuple(f.name for f in dataclasses.fields(PlanInputs)),
-    "config": ("inputs", "spectrum", "qpe", "bounds", "seed", "runs", "threads", "alpha_list"),
-    "qpe": ("epsilon", "delta"),
-    "bounds": ("mc", "mc_rounds", "etas", "deltas", "gaps", "orders", "mu_centers", "eps_rel"),
-    "spectrum": ("path", "eigenphases", "overlaps_sq", "dense_hamiltonian"),
-    "spectrum file": ("eigenphases", "overlaps_sq", "dense_hamiltonian"),
-    "dense_hamiltonian": ("matrix_real", "matrix_imag", "initial_real", "initial_imag"),
+    "inputs": typing.get_type_hints(PlanInputs),
+    "spectrum": {
+        "path": str,
+        "eigenphases": list[float],
+        "overlaps_sq": list[float],
+        "dense_hamiltonian": dict.fromkeys(
+            ("matrix_real", "matrix_imag", "initial_real", "initial_imag"), np.ndarray
+        ),
+    },
+    "qpe": {"epsilon": float, "delta": float},
+    "bounds": {
+        "mc": bool,
+        "mc_rounds": int,
+        "etas": list[float],
+        "deltas": list[float],
+        "gaps": list[float],
+        "orders": list[int],
+        "mu_centers": list[float],
+        "eps_rel": float,
+    },
+    "seed": int,
+    "runs": int,
+    "threads": int,
+    "alpha_list": list[float],
+}
+# A spectrum file holds a spectrum section, less a further path.
+_SPECTRUM_FILE_KEYS = {k: v for k, v in _CONFIG_KEYS["spectrum"].items() if k != "path"}
+# The values each leaf type takes and what an error calls them.
+_KINDS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
 }
 # The ways a spectrum section gives its spectrum, by their keys.
 _SPECTRUM_SOURCES = (("path",), ("dense_hamiltonian",), ("eigenphases", "overlaps_sq"))
@@ -99,59 +127,42 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _strict_int(value: Any, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _strict_float(value: Any, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _strict_list(value: Any, name: str) -> list | tuple:
-    # A tuple is a built-in default; JSON gives lists.
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-def _number_array(value: Any, name: str) -> np.ndarray:
-    """float64 array of nested JSON lists whose entries are all numbers."""
-
-    def check(node: Any) -> None:
-        if isinstance(node, list):
-            for item in node:
-                check(item)
-        else:
-            _strict_float(node, f"{name} entry")
-
-    check(value)
-    return np.array(value, dtype=np.float64)
-
-
 def _qpe_targets(config: dict[str, Any]) -> tuple[float, float]:
     node = config.get("qpe")
     if node is None:
         raise ValueError("config is missing the 'qpe' section")
-    return (
-        _strict_float(node["epsilon"], "qpe.epsilon"),
-        _strict_float(node["delta"], "qpe.delta"),
-    )
+    return float(node["epsilon"]), float(node["delta"])
 
 
-def _check_keys(node: Any, section: str, where: str) -> None:
-    """Refuse a non-object ``section`` node, or a key that section does
-    not know: a typo must not fall back to a default."""
-    if not isinstance(node, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    for key, value in node.items():
-        if key not in _CONFIG_KEYS[section]:
-            raise ValueError(f"unknown key {key!r} in {where}; known: {_CONFIG_KEYS[section]}")
-        if key in _CONFIG_KEYS:
-            _check_keys(value, key, key if section == "config" else f"{where}.{key}")
+def _check(value: Any, kind: Any, where: str, prefix: str | None = None) -> None:
+    """Refuse a value that is not of ``kind`` (see ``_CONFIG_KEYS``),
+    naming it ``where``. A section refuses a key it does not know, so a
+    typo cannot fall back to a default, and names its keys ``prefix`` +
+    key (by default ``where.key``)."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        for key, item in value.items():
+            if key not in kind:
+                raise ValueError(f"unknown key {key!r} in {where}; known: {tuple(kind)}")
+            _check(item, kind[key], (f"{where}." if prefix is None else prefix) + key)
+        return
+    if kind is np.ndarray:  # nested lists, any depth, of numbers
+        if isinstance(value, list):
+            for item in value:
+                _check(item, kind, where)
+            return
+        kind, where = float, f"{where} entry"
+    elif typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        for entry in value:
+            _check(entry, *typing.get_args(kind), f"{where} entry")
+        return
+    accepted, phrase = _KINDS[kind]
+    # bool is an int to Python, but true is not 1 here, nor 1 true.
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"{where} must be {phrase}, got {value!r}")
 
 
 def _load_config(path: str | None) -> dict[str, Any]:
@@ -159,7 +170,7 @@ def _load_config(path: str | None) -> dict[str, Any]:
         return {}
     with open(path) as fh:
         config = json.load(fh)
-    _check_keys(config, "config", "config root")
+    _check(config, _CONFIG_KEYS, "config root", "")
     return config
 
 
@@ -176,13 +187,11 @@ def _spectrum_from_config(config: dict[str, Any]) -> SpectrumSpec:
             break
         with open(node["path"]) as fh:
             node = json.load(fh)
-        _check_keys(node, "spectrum file", "spectrum file")
+        _check(node, _SPECTRUM_FILE_KEYS, "spectrum file", "spectrum.")
     if "dense_hamiltonian" in node:
-        dense = node["dense_hamiltonian"]
         arrays = {
-            key: _number_array(dense[key], f"spectrum.dense_hamiltonian.{key}")
-            for key in _CONFIG_KEYS["dense_hamiltonian"]
-            if key in dense
+            key: np.array(value, dtype=np.float64)
+            for key, value in node["dense_hamiltonian"].items()
         }
         real = arrays["matrix_real"]
         imag = arrays.get("matrix_imag", np.zeros_like(real))
@@ -190,9 +199,6 @@ def _spectrum_from_config(config: dict[str, Any]) -> SpectrumSpec:
         v_imag = arrays.get("initial_imag", np.zeros_like(v_real))
         ham = DenseHamiltonian(matrix=real + 1j * imag, initial=v_real + 1j * v_imag)
         return eigendecompose(ham)
-    for key in ("eigenphases", "overlaps_sq"):
-        if key in node:
-            _strict_list(node[key], f"spectrum.{key}")
     return SpectrumSpec.from_dict(node)
 
 
@@ -217,14 +223,11 @@ def _alpha_values(args: argparse.Namespace, config: dict[str, Any]) -> list[floa
                 raise ValueError(f"--alpha-list entries must be finite numbers, got {tok!r}")
             alphas.append(value)
     elif "alpha_list" in config:
-        alphas = [
-            _strict_float(a, "alpha_list entry")
-            for a in _strict_list(config["alpha_list"], "alpha_list")
-        ]
+        alphas = [float(a) for a in config["alpha_list"]]
     elif args.mode == "sweep":
         alphas = list(_DEFAULT_ALPHAS)
     else:
-        alphas = [_strict_float(config.get("inputs", {}).get("alpha", 0.0), "inputs.alpha")]
+        alphas = [float(config.get("inputs", {}).get("alpha", 0.0))]
     if not alphas:
         raise ValueError("alpha list is empty; give at least one interpolation exponent")
     # summary.json keys each alpha by its printed form; two alike would merge.
@@ -436,29 +439,22 @@ def _cmd_bounds(args, config) -> int:
     from . import bounds as bounds_lab
 
     node = config.get("bounds", {})
-    mc = node.get("mc", True)
-    if not isinstance(mc, bool):
-        raise ValueError(f"bounds.mc must be true or false, got {mc!r}")
-    mc_rounds = _strict_int(node.get("mc_rounds", 2000), "bounds.mc_rounds")
-    if mc_rounds < 1:
-        raise ValueError(f"bounds.mc_rounds must be at least 1, got {mc_rounds}")
-    if mc_rounds > _MAX_ROUNDS:
-        raise ValueError(f"bounds.mc_rounds must be at most {_MAX_ROUNDS}, got {mc_rounds}")
-
-    def axis(key: str, default: Sequence, strict=_strict_float) -> tuple:
-        values = _strict_list(node.get(key, default), f"bounds.{key}")
-        return tuple(strict(x, f"bounds.{key} entry") for x in values)
-
-    report = bounds_lab.run_default_grid(
-        etas=axis("etas", bounds_lab.DEFAULT_ETAS),
-        deltas=axis("deltas", bounds_lab.DEFAULT_DELTAS),
-        gaps=axis("gaps", bounds_lab.DEFAULT_GAPS),
-        orders=axis("orders", bounds_lab.DEFAULT_ORDERS, _strict_int),
-        mu_centers=axis("mu_centers", bounds_lab.DEFAULT_MU_CENTERS),
-        eps_rel=_strict_float(node.get("eps_rel", bounds_lab.DEFAULT_EPS_REL), "bounds.eps_rel"),
-        mc=mc,
-        mc_rounds=mc_rounds,
-    )
+    if "mc_rounds" in node:
+        mc_rounds = node["mc_rounds"]
+        if mc_rounds < 1:
+            raise ValueError(f"bounds.mc_rounds must be at least 1, got {mc_rounds}")
+        if mc_rounds > _MAX_ROUNDS:
+            raise ValueError(f"bounds.mc_rounds must be at most {_MAX_ROUNDS}, got {mc_rounds}")
+    # A key left out takes run_default_grid's default. JSON writes 1.0 as
+    # 1, so a number is passed on as a float however it was spelled.
+    kinds = _CONFIG_KEYS["bounds"]
+    grid = {
+        key: tuple(map(float, value)) if kinds[key] == list[float]
+        else float(value) if kinds[key] is float
+        else value
+        for key, value in node.items()
+    }
+    report = bounds_lab.run_default_grid(**grid)
     rows = [
         {**row, "params": json.dumps(row["params"], sort_keys=True)} for row in report.to_rows()
     ]
@@ -512,7 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config(args.config)
         for name, default in (("seed", _DEFAULT_SEED), ("runs", 1), ("threads", 1)):
             if getattr(args, name) is None:
-                setattr(args, name, _strict_int(config.get(name, default), name))
+                setattr(args, name, config.get(name, default))
         if args.runs < 1:
             raise ValueError(f"runs must be positive, got {args.runs}")
         if args.threads < 0:

@@ -241,10 +241,6 @@ class DenseHamiltonian:
         object.__setattr__(self, "matrix", H)
         object.__setattr__(self, "initial", v)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def eigendecompose(ham: DenseHamiltonian) -> SpectrumSpec:
     """Diagonalize and project the initial state onto the eigenbasis.
@@ -265,6 +261,11 @@ def eigendecompose(ham: DenseHamiltonian) -> SpectrumSpec:
     return SpectrumSpec(eigenphases=tuple(w), overlaps_sq=tuple(overlaps))
 
 
+def _check_register(q: int) -> None:
+    if isinstance(q, bool) or not (isinstance(q, int) and q >= 1):
+        raise ValueError(f"q must be a positive integer, got {q!r}")
+
+
 def gaussian_window(q: int, sigma_tilde: float) -> np.ndarray:
     """Unit-norm Gaussian window on t = 0..2**q - 1, centered at t = 2**(q-1).
 
@@ -276,8 +277,7 @@ def gaussian_window(q: int, sigma_tilde: float) -> np.ndarray:
     the amplitude there has to be negligible for every eigenphase, not
     just for integer N*theta.
     """
-    if not (isinstance(q, int) and q >= 1):
-        raise ValueError(f"q must be a positive integer, got {q!r}")
+    _check_register(q)
     if not (0.0 < sigma_tilde < math.inf):
         raise ValueError(f"sigma_tilde must be positive, got {sigma_tilde!r}")
     sigma_time = 1.0 / (4.0 * math.pi * sigma_tilde)
@@ -291,8 +291,7 @@ def gaussian_window(q: int, sigma_tilde: float) -> np.ndarray:
 
 def rectangular_window(q: int) -> np.ndarray:
     """Unit-norm flat window, the textbook phase-estimation choice."""
-    if not (isinstance(q, int) and q >= 1):
-        raise ValueError(f"q must be a positive integer, got {q!r}")
+    _check_register(q)
     n = 1 << q
     return np.full(n, 1.0 / math.sqrt(n))
 

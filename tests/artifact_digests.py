@@ -10,8 +10,12 @@ sweep; the qpe baseline at 50 runs; bounds on the benchmark's sub-grid),
 plan runs at alphas 0, 0.5 and 1 with ``inputs.m`` 2 and 4, the
 benchmark's gsee-deep plan (alpha 1 at ``epsilon`` 1e-3, 1227 budget
 halvings), one gsee run at alpha 0 and ``epsilon`` 1e-3, whose 83 000
-rounds span two chunks of the round sampler, and bounds on the default
-grid with its Monte Carlo shadow (5235 cases, about 2 s).
+rounds span two chunks of the round sampler, bounds on the default
+grid with its Monte Carlo shadow (5235 cases, about 2 s), and the
+spectrum given the two other ways: as a complex ``dense_hamiltonian``
+(spectrum mode) and as a ``path`` to a file holding CONFIG's spectrum
+(gsee). The runs work in a temporary directory, so the path and every
+``config-echo.json`` are the same in every checkout.
 Every line reads ``<run>/<file> <sha256>``, so two checkouts make the
 same bytes when ``diff`` of their outputs is empty. Not a pytest module.
 """
@@ -58,6 +62,21 @@ INPUT_OVERRIDES = {
     "gsee-eps1e-3": {"epsilon": 1e-3},
 }
 
+# Runs named here take this ``spectrum`` section in place of CONFIG's.
+SPECTRUM_FILE = "spectrum-file.json"
+SPECTRUM_OVERRIDES = {
+    # Eigenphases about -0.160 and 0.110; the ground overlap is about 0.81.
+    "spectrum-dense": {
+        "dense_hamiltonian": {
+            "matrix_real": [[-0.15, 0.03], [0.03, 0.1]],
+            "matrix_imag": [[0.0, -0.04], [0.04, 0.0]],
+            "initial_real": [0.96, 0.0],
+            "initial_imag": [0.0, 0.28],
+        }
+    },
+    "spectrum-path": {"path": SPECTRUM_FILE},
+}
+
 # Runs named here take this ``bounds`` section in place of CONFIG's; an
 # empty one runs the default grid.
 BOUNDS_OVERRIDES = {"bounds-default": {}}
@@ -77,6 +96,8 @@ RUNS = {
     "plan-deep": ["--mode", "plan", "--alpha-list", "1"],
     "gsee-eps1e-3": ["--mode", "gsee", "--runs", "1", "--seed", "13"],
     "bounds-default": ["--mode", "bounds"],
+    "spectrum-dense": ["--mode", "spectrum"],
+    "spectrum-path": ["--mode", "gsee", "--runs", "2", "--seed", "7"],
 }
 
 
@@ -85,24 +106,35 @@ def _sha256(data: bytes) -> str:
 
 
 def main_digests() -> int:
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in RUNS.items():
-            config = os.path.join(tmp, f"{name}.json")
-            with open(config, "w") as fh:
-                inputs = {**CONFIG["inputs"], **INPUT_OVERRIDES.get(name, {})}
-                grid = BOUNDS_OVERRIDES.get(name, CONFIG["bounds"])
-                json.dump({**CONFIG, "inputs": inputs, "bounds": grid}, fh)
-            out = os.path.join(tmp, name)
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                rc = main(["--config", config, "--out", out, *argv])
-            if rc != 0:
-                print(f"{name} exited {rc}", file=sys.stderr)
-                return 1
-            print(f"{name}/stdout {_sha256(stdout.getvalue().encode())}")
-            for artifact in sorted(os.listdir(out)):
-                with open(os.path.join(out, artifact), "rb") as fh:
-                    print(f"{name}/{artifact} {_sha256(fh.read())}")
+        os.chdir(tmp)
+        try:
+            return _print_digests()
+        finally:
+            os.chdir(home)
+
+
+def _print_digests() -> int:
+    with open(SPECTRUM_FILE, "w") as fh:
+        json.dump(CONFIG["spectrum"], fh)
+    for name, argv in RUNS.items():
+        config = f"{name}.json"
+        with open(config, "w") as fh:
+            inputs = {**CONFIG["inputs"], **INPUT_OVERRIDES.get(name, {})}
+            spectrum = SPECTRUM_OVERRIDES.get(name, CONFIG["spectrum"])
+            grid = BOUNDS_OVERRIDES.get(name, CONFIG["bounds"])
+            json.dump({**CONFIG, "inputs": inputs, "spectrum": spectrum, "bounds": grid}, fh)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = main(["--config", config, "--out", name, *argv])
+        if rc != 0:
+            print(f"{name} exited {rc}", file=sys.stderr)
+            return 1
+        print(f"{name}/stdout {_sha256(stdout.getvalue().encode())}")
+        for artifact in sorted(os.listdir(name)):
+            with open(os.path.join(name, artifact), "rb") as fh:
+                print(f"{name}/{artifact} {_sha256(fh.read())}")
     return 0
 
 

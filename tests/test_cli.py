@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -251,14 +252,14 @@ def test_lists_that_are_not_lists_are_named_errors(tmp_path, capsys, mode, secti
         ("plan", None, "alpha_list", ["0.5"], "alpha_list entry must be a number"),
         ("plan", None, "alpha_list", [True], "alpha_list entry must be a number"),
         ("plan", "inputs", "alpha", "0.5", "inputs.alpha must be a number"),
-        ("plan", "inputs", "eta", True, "eta must be a real number"),
+        ("plan", "inputs", "eta", True, "inputs.eta must be a number"),
         ("bounds", "bounds", "mu_centers", ["0.25"], "bounds.mu_centers entry must be a number"),
         ("bounds", "bounds", "eps_rel", "0.001", "bounds.eps_rel must be a number"),
         ("qpe", "qpe", "epsilon", "0.01", "qpe.epsilon must be a number"),
         ("spectrum", "spectrum", "eigenphases", ["-0.2", "-0.05", "0.15"],
-         "eigenphases entry must be a real number"),
+         "spectrum.eigenphases entry must be a number"),
         ("spectrum", "spectrum", "overlaps_sq", [True, False, False],
-         "overlaps_sq entry must be a real number"),
+         "spectrum.overlaps_sq entry must be a number"),
         ("spectrum", "spectrum", "dense_hamiltonian",
          {"matrix_real": [["-0.2", 0], [0, "0.15"]], "initial_real": [1.0, 0.0]},
          "spectrum.dense_hamiltonian.matrix_real entry must be a number"),
@@ -274,7 +275,14 @@ def test_lists_that_are_not_lists_are_named_errors(tmp_path, capsys, mode, secti
         ("gsee", None, "--threads", "-4", "threads must be nonnegative"),
         ("qpe", None, "--seed", "-1", "seed must be nonnegative, got -1"),
         ("gsee", "spectrum", "eigenphases", ["-0.2", -0.05, 0.15],
-         "eigenphases entry must be a real number"),
+         "spectrum.eigenphases entry must be a number"),
+        # open(0) read the spectrum from stdin; open(True) opened stdout.
+        ("spectrum", "spectrum", "path", 0, "spectrum.path must be a string, got 0"),
+        ("gsee", "spectrum", "path", True, "spectrum.path must be a string, got True"),
+        # A value the mode does not read is checked too.
+        ("plan", "spectrum", "path", 0, "spectrum.path must be a string, got 0"),
+        ("gsee", "bounds", "mc", "no", "bounds.mc must be true or false, got 'no'"),
+        ("bounds", "qpe", "epsilon", "0.01", "qpe.epsilon must be a number, got '0.01'"),
     ],
 )
 def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, value, message):
@@ -291,6 +299,59 @@ def test_config_values_are_not_coerced(tmp_path, capsys, mode, section, key, val
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv, update, message",
+    [
+        (["--mode", "gsee", "--seed", "5"], {"seed": "x"}, "seed must be an integer, got 'x'"),
+        (["--mode", "plan", "--threads", "1"], {"threads": 1.5},
+         "threads must be an integer, got 1.5"),
+        (["--mode", "plan", "--alpha-list", "0"], {"alpha_list": [0, "1"]},
+         "alpha_list entry must be a number, got '1'"),
+    ],
+    ids=["seed", "threads", "alpha_list"],
+)
+def test_config_values_under_a_flag_are_checked(tmp_path, capsys, argv, update, message):
+    rc, out = run(tmp_path, argv, config={**BASE_CONFIG, **update})
+    assert rc == 1
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_config_table_covers_what_its_readers_take():
+    grid = inspect.signature(run_default_grid).parameters
+    assert set(cli._CONFIG_KEYS["bounds"]) == set(grid)
+    assert all(p.default is not p.empty for p in grid.values())
+    fields = [f.name for f in dataclasses.fields(PlanInputs)]
+    assert list(cli._CONFIG_KEYS["inputs"]) == fields
+    assert set(cli._CONFIG_KEYS["inputs"].values()) <= set(cli._KINDS)
+
+
+GRID = {"deltas": [0.01], "gaps": [0.1], "mc_rounds": 50}
+
+
+@pytest.mark.parametrize(
+    "argv, floats, ints",
+    [
+        (["--mode", "plan"], {"alpha_list": [0.0, 1.0]}, {"alpha_list": [0, 1]}),
+        (["--mode", "bounds"],
+         {"bounds": {**GRID, "etas": [1.0], "mu_centers": [0.0]}},
+         {"bounds": {**GRID, "etas": [1], "mu_centers": [0]}}),
+    ],
+    ids=["plan", "bounds"],
+)
+def test_integer_spellings_give_the_float_spellings_bytes(tmp_path, argv, floats, ints):
+    outs = []
+    for sub, spelling in (("floats", floats), ("ints", ints)):
+        rc, out = run(tmp_path, argv, config={**BASE_CONFIG, **spelling}, sub=sub)
+        assert rc == 0
+        outs.append(out)
+    # config-echo.json echoes each spelling as it was given.
+    names = sorted(set(os.listdir(outs[0])) - {"config-echo.json"})
+    assert names == sorted(set(os.listdir(outs[1])) - {"config-echo.json"})
+    for name in names:
+        assert Path(outs[0], name).read_bytes() == Path(outs[1], name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from gaussqpe.gaussian import (
     range_moments,
     wrap_mod,
 )
+from gaussqpe.simulator import gaussian_window, rectangular_window
 
 G0_DENSITY = 0.54712394277744595922
 FOURIER_M0 = complex(1.0080904713553885297e-6, -3.1025834476737206392e-6)
@@ -84,6 +85,35 @@ def test_moment_order_out_of_range():
         fourier_moment(5, 0, 0.0, 1.0)
     with pytest.raises(ValueError):
         fourier_moment(-1, 0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rectangular_window(True),
+        lambda: gaussian_window(True, 0.1),
+        lambda: wrap_mod(3.0, 0.0, True),
+        lambda: fourier_moment(True, 1, 0.0, 1.0),
+        lambda: dual_sums(True, 0.0, 1.0),
+    ],
+    ids=["rectangular_window", "gaussian_window", "wrap_mod", "fourier_moment", "dual_sums"],
+)
+def test_integer_arguments_refuse_bool(call):
+    # True is an int to Python; taken as q = 1 or m = 1 it would pass silently.
+    with pytest.raises(ValueError, match="got True"):
+        call()
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_negative_frequency_is_the_exact_conjugate(m):
+    # dual_sums transforms each frequency once and doubles it, in the
+    # planner's 53 bits and the bound lab's 60 digits alike.
+    for dps in (15, 60):
+        with mpmath.workdps(dps):
+            for k in (1, 2, 7):
+                for mu, sigma in ((0.0, 0.3), (0.37, 0.21), (-0.5, 1.7)):
+                    gk = fourier_moment(m, k, mu, sigma)
+                    assert fourier_moment(m, -k, mu, sigma) == mpmath.conj(gk)
 
 
 class TestWrap:
